@@ -15,7 +15,7 @@ from .typestats import (AgentType, Statistics, StatIntervention, StatsError,
                         extract_statistics, null_intervention, post_statistics,
                         intervention_cost, check_well_posed, cost_rule,
                         threshold_rule)
-from .meanfield import (binom_tail, phi_kr, psi, phi, coeff_a, phi_decomposed,
+from .meanfield import (binom_tail, psi, phi, coeff_a, phi_decomposed,
                         recursion, derivative_bound, psi_inverse)
 from .lp import LpModel, LpSolution, solve, check_solution
 from .planner import (PlannerConfig, PlanResult, alpha_eps, delta_n, build_lp,

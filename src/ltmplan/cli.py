@@ -15,13 +15,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .graph import GraphError, parse_edge_list
+from .graph import (GraphError, apply_intervention, check_thresholds,
+                    parse_edge_list)
 from .meanfield import dump_curves, recursion
 from .planner import PlannerConfig, PlannerError, plan
 from .sampler import (SamplerError, cascade_fractions, monte_carlo_validate,
                       realize_intervention)
 from .typestats import (StatsError, cost_rule, extract_statistics,
-                        intervention_from_records, intervention_to_records,
+                        intervention_from_records, post_statistics,
                         statistics_from_records, statistics_to_records,
                         threshold_rule)
 
@@ -91,7 +92,6 @@ def _build_stats(args, seed_offset=0):
     seed = None if args.seed is None else args.seed + seed_offset
     rho = threshold_rule(args.threshold_rule, seed=seed)(g)
     if args.clamp_thresholds:
-        from .graph import check_thresholds
         rho = check_thresholds(g, rho, clamp=True)
     p0, assignment = extract_statistics(g, rho, cost_rule(args.cost_rule))
     return g, rho, p0, assignment
@@ -124,7 +124,6 @@ def cmd_plan(args):
     doc = result.to_dict()
     doc["config"]["statistics"] = args.statistics
     _write_json(os.path.join(args.out, "plan.json"), doc)
-    from .typestats import post_statistics
     dump_curves(p0, os.path.join(args.out, "curves_baseline.csv"))
     dump_curves(post_statistics(p0, result.xi),
                 os.path.join(args.out, "curves_planned.csv"))
@@ -148,6 +147,17 @@ def _write_trajectory_csv(path, ys, zs, rec):
                      % (t, pick(ys, t), pick(zs, t), pick(rec_y, t), pick(rec_z, t)))
 
 
+def _realize_and_compare(g, assignment, rho, p0, xi, seed, csv_path):
+    """Realize xi on the concrete network, run the cascade from all-zeros,
+    and write its trajectory beside the mean-field recursion of the
+    post-intervention statistics.  Returns (per-node reductions h, Y(t))."""
+    h = realize_intervention(g, assignment, rho, xi, seed=seed)
+    ys, zs, _ = cascade_fractions(g, apply_intervention(rho, h))
+    rec, _ = recursion(post_statistics(p0, xi))
+    _write_trajectory_csv(csv_path, ys, zs, rec)
+    return h, ys
+
+
 def cmd_validate(args):
     p0, _ = _load_stats_doc(args.statistics)
     with open(args.plan) as fh:
@@ -156,14 +166,10 @@ def cmd_validate(args):
     os.makedirs(args.out, exist_ok=True)
     if args.edges:
         # realize mode: apply the plan to a concrete network
-        g, rho, p_extracted, assignment = _build_stats(args)
-        h = realize_intervention(g, assignment, rho, xi, seed=args.seed)
-        from .graph import apply_intervention
-        ys, zs, _ = cascade_fractions(g, apply_intervention(rho, h))
-        from .typestats import post_statistics
-        rec, _ = recursion(post_statistics(p0, xi))
-        _write_trajectory_csv(os.path.join(args.out, "trajectory_realized.csv"),
-                              ys, zs, rec)
+        g, rho, _, assignment = _build_stats(args)
+        h, ys = _realize_and_compare(
+            g, assignment, rho, p0, xi, args.seed,
+            os.path.join(args.out, "trajectory_realized.csv"))
         report = {"mode": "realize", "n": g.n, "final_fraction": float(ys[-1]),
                   "target": 1.0 - args.eps,
                   "ok": bool(ys[-1] >= 1.0 - args.eps),
@@ -221,17 +227,12 @@ def cmd_experiment(args):
         doc["config"].update(config)
         _write_json(os.path.join(inst_dir, "plan.json"), doc)
         try:
-            h = realize_intervention(g, assignment, rho, result.xi,
-                                     seed=base_seed + 1000 + inst)
-            from .graph import apply_intervention
-            from .typestats import post_statistics
-            ys, zs, _ = cascade_fractions(g, apply_intervention(rho, h))
-            rec, _ = recursion(post_statistics(p0, result.xi))
+            _, ys = _realize_and_compare(
+                g, assignment, rho, p0, result.xi, base_seed + 1000 + inst,
+                os.path.join(inst_dir, "trajectory.csv"))
         except SamplerError as exc:
             print("experiment aborted in validate stage: %s" % exc, file=sys.stderr)
             return EXIT_VALIDATE
-        _write_trajectory_csv(os.path.join(inst_dir, "trajectory.csv"),
-                              ys, zs, rec)
         costs.append(result.cost)
         finals.append(float(ys[-1]))
         print("instance %d: cost %.6g, final fraction %.4f"
@@ -282,8 +283,6 @@ def _add_common(p):
                    default=None if _env_default("seed", None) is None
                    else int(_env_default("seed", None)))
     p.add_argument("--out", default=_env_default("out", "out"))
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap for replicate simulation")
 
 
 def build_parser():

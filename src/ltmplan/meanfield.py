@@ -1,10 +1,11 @@
 """Binomial-tail numerics and the one-dimensional mean-field maps.
 
-Everything here is built on the survival probability of a Binomial(k, z)
-variable at level r.  For small k that is an exact term-recurrence sum; for
-large k a naive binomial-coefficient sum overflows, so the regularized
-incomplete beta identity P[Bin(k, z) >= r] = I_z(r, k - r + 1) is used
-instead.  Both paths are kept and cross-checked in the test suite.
+Everything here is built on one quantity, the survival probability of a
+Binomial(k, z) variable at level r, evaluated through the regularized
+incomplete beta identity P[Bin(k, z) >= r] = I_z(r, k - r + 1).  The curves
+psi and phi are weighted sums of it over the distinct (k, r) pairs of a type
+distribution, and each intervention coefficient is a difference of two of
+its values.  An independent summation oracle lives in the test suite.
 """
 
 from __future__ import annotations
@@ -14,163 +15,130 @@ import math
 import numpy as np
 from scipy import special as sc
 
-SMALL_K = 30
 
+def binom_tail(k, r, z):
+    """P[Bin(k, z) >= r] for z in [0, 1], broadcast over k, r and z.
 
-def _tail_direct(k: int, r: int, z: np.ndarray) -> np.ndarray:
-    """Direct term-recurrence sum from u = r, vectorized; safe for z <= 1/2
-    with small k (no term can underflow while the true tail is large)."""
-    zc = np.clip(z, 1e-300, 0.5)
-    term = math.comb(k, r) * zc**r * (1.0 - zc) ** (k - r)
-    total = term.copy()
-    ratio = zc / (1.0 - zc)
-    for u in range(r, k):
-        term = term * ((k - u) / (u + 1.0)) * ratio
-        total += term
-    return total
-
-
-def _tail_small(k: int, r: int, z: np.ndarray) -> np.ndarray:
-    """Small-k survival function via direct summation, using the complement
-    identity P[Bin >= r] = 1 - P[Bin(k, 1-z) >= k-r+1] for z > 1/2 so the
-    leading term never underflows."""
-    low = _tail_direct(k, r, z)
-    high = 1.0 - _tail_direct(k, k - r + 1, 1.0 - z)
-    total = np.where(z <= 0.5, low, high)
-    total = np.clip(total, 0.0, 1.0)
-    total = np.where(z <= 0.0, 0.0, total)
-    total = np.where(z >= 1.0, 1.0, total)
-    return total
-
-
-def _tail_sum(k: int, r: int, z: float) -> float:
-    """Scalar term-recurrence sum started at the binomial mode and expanded
-    outward, so every accumulated term is representable.  Cross-check path
-    for the incomplete-beta evaluation at large k."""
-    z = float(z)
-    if z <= 0.0:
-        return 0.0 if r >= 1 else 1.0
-    if z >= 1.0:
-        return 1.0
-    u0 = min(max(int((k + 1) * z), r), k)
-    log_t0 = (math.lgamma(k + 1) - math.lgamma(u0 + 1) - math.lgamma(k - u0 + 1)
-              + u0 * math.log(z) + (k - u0) * math.log1p(-z))
-    t0 = math.exp(log_t0)
-    total = t0
-    t = t0
-    ratio = z / (1.0 - z)
-    for u in range(u0, k):
-        t *= (k - u) / (u + 1.0) * ratio
-        total += t
-        if t < total * 1e-20:
-            break
-    t = t0
-    inv = (1.0 - z) / z
-    for u in range(u0, r, -1):
-        t *= u / (k - u + 1.0) * inv
-        total += t
-        if t < total * 1e-20:
-            break
-    return min(total, 1.0)
-
-
-def _tail_beta(k: int, r: int, z):
-    """Incomplete-beta evaluation of the binomial survival function, r >= 1."""
-    z = np.asarray(z, dtype=float)
-    return sc.betainc(r, k - r + 1, np.clip(z, 0.0, 1.0))
-
-
-def binom_tail(k: int, r: int, z):
-    """P[Bin(k, z) >= r] for z in [0, 1]; scalar in, scalar out.
-
-    Accurate to ~1e-13 relative up to k of order 1e5.
+    Scalar in, scalar out.  Accurate to ~1e-13 relative up to k of order 1e5.
     """
-    if not (0 <= r <= k):
-        raise ValueError("need 0 <= r <= k, got r=%d, k=%d" % (r, k))
-    z_arr = np.asarray(z, dtype=float)
-    if z_arr.min() < -1e-15 or z_arr.max() > 1 + 1e-15:
+    k, r = np.broadcast_arrays(np.asarray(k), np.asarray(r))
+    bad = (r < 0) | (r > k)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError("need 0 <= r <= k, got r=%d, k=%d" % (r.flat[i], k.flat[i]))
+    z = np.asarray(z, dtype=float)
+    if z.size and (z.min() < -1e-15 or z.max() > 1 + 1e-15):
         raise ValueError("z outside [0, 1]")
-    z_arr = np.clip(z_arr, 0.0, 1.0)
-    if r == 0:
-        out = np.ones_like(z_arr)
-    elif k <= SMALL_K:
-        out = _tail_small(k, r, z_arr)
-    else:
-        out = _tail_beta(k, r, z_arr)
-        out = np.where(z_arr <= 0.0, 0.0, out)
-        out = np.where(z_arr >= 1.0, 1.0, out)
-    return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+    z = np.clip(z, 0.0, 1.0)
+    # I_z(r, k - r + 1) is 0 at z = 0 and 1 at z = 1; r = 0 is the sure event
+    out = np.where(r == 0, 1.0, sc.betainc(np.maximum(r, 1), k - r + 1, z))
+    return float(out) if out.ndim == 0 else out
 
 
-phi_kr = binom_tail
+def _distinct_pairs(k: np.ndarray, r: np.ndarray):
+    """Distinct (k, r) pairs of two integer arrays, with the index of each
+    input position into them."""
+    stride = int(r.max(initial=0)) + 1
+    _, first, inverse = np.unique(k * stride + r, return_index=True,
+                                  return_inverse=True)
+    return k[first], r[first], inverse.reshape(-1)
 
 
-def _group_weights(p, degree_weighted: bool):
-    """Collapse the type distribution onto (k, r) pairs, optionally weighting
-    each type by d_w / <p, d>."""
-    weights: dict[tuple, float] = {}
-    if degree_weighted:
+class _Curves:
+    """A type distribution collapsed once onto its distinct (k, r) pairs,
+    with mass weights (for psi) and link weights d * mass / <p, d> (for phi)."""
+
+    def __init__(self, p):
+        ws, ms = zip(*p.masses.items())
+        k = np.array([w.k for w in ws], dtype=np.int64)
+        r = np.array([w.r for w in ws], dtype=np.int64)
+        d = np.array([w.d for w in ws], dtype=float)
+        m = np.array(ms, dtype=float)
+        self.k, self.r, inverse = _distinct_pairs(k, r)
+        self.mass = np.bincount(inverse, m)
         mean_d = p.moment("d")
-        if mean_d <= 0.0:
+        self._link = np.bincount(inverse, d * m) / mean_d if mean_d > 0.0 else None
+
+    @property
+    def link(self) -> np.ndarray:
+        if self._link is None:
             raise ValueError("degree-weighted map undefined: <p, d> = 0")
-    for w, m in p.masses.items():
-        wt = m * (w.d / mean_d) if degree_weighted else m
-        key = (w.k, w.r)
-        weights[key] = weights.get(key, 0.0) + wt
-    return weights
+        return self._link
+
+    def tails(self, z) -> np.ndarray:
+        return binom_tail(self.k, self.r, np.asarray(z, dtype=float)[..., None])
+
+    def psi(self, z):
+        return _scalar_if(self.tails(z) @ self.mass, z)
+
+    def phi(self, z):
+        return _scalar_if(self.tails(z) @ self.link, z)
+
+    def psi_phi(self, z):
+        """Both curves from one tail evaluation."""
+        tails = self.tails(z)
+        return _scalar_if(tails @ self.mass, z), _scalar_if(tails @ self.link, z)
+
+
+def _scalar_if(values, z):
+    return float(values) if np.ndim(z) == 0 else values
 
 
 def psi(p, z):
     """Mass-weighted activation probability: expected fraction of active
-    agents when each observed neighbor is active independently w.p. z."""
-    groups = _group_weights(p, degree_weighted=False)
-    return math.fsum(wt * binom_tail(k, r, float(z)) for (k, r), wt in groups.items())
+    agents when each observed neighbor is active independently w.p. z.
+    Scalar or array z."""
+    return _Curves(p).psi(z)
 
 
 def phi(p, z):
     """Degree-weighted activation probability: expected fraction of links
-    pointing to active agents."""
-    groups = _group_weights(p, degree_weighted=True)
-    return math.fsum(wt * binom_tail(k, r, float(z)) for (k, r), wt in groups.items())
+    pointing to active agents.  Scalar or array z."""
+    return _Curves(p).phi(z)
 
 
-def psi_grid(p, zs: np.ndarray) -> np.ndarray:
-    zs = np.asarray(zs, dtype=float)
-    out = np.zeros_like(zs)
-    for (k, r), wt in _group_weights(p, degree_weighted=False).items():
-        out += wt * binom_tail(k, r, zs)
-    return out
+def coeff_matrix(d, k, r, eta, z, mean_d: float) -> np.ndarray:
+    """Intervention coefficients a_{w,eta}(z) for columns given as arrays of
+    in-degree d, out-degree k, threshold r and reduction eta, with <p0, d>
+    passed in.  Shape z.shape + (number of columns,).
 
-
-def phi_grid(p, zs: np.ndarray) -> np.ndarray:
-    zs = np.asarray(zs, dtype=float)
-    out = np.zeros_like(zs)
-    for (k, r), wt in _group_weights(p, degree_weighted=True).items():
-        out += wt * binom_tail(k, r, zs)
+    a = d (P[Bin(k, z) >= r - eta] - P[Bin(k, z) >= r]) / <p0, d> is the
+    sensitivity of the degree-weighted map to moving unit mass of the type
+    down by eta threshold units; non-negative since lowering the threshold
+    can only raise the tail.
+    """
+    d, k, r, eta = (np.atleast_1d(np.asarray(v, dtype=np.int64)) for v in (d, k, r, eta))
+    bad = (eta < 1) | (eta > r)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError("eta=%d outside 1..r=%d" % (eta[i], r[i]))
+    # both tails of every column, evaluated once per distinct (k, r') pair
+    ku, ru, inverse = _distinct_pairs(np.concatenate([k, k]),
+                                      np.concatenate([r - eta, r]))
+    table = binom_tail(ku, ru, np.asarray(z, dtype=float)[..., None])
+    out = table[..., inverse[:eta.size]] - table[..., inverse[eta.size:]]
+    np.clip(out, 0.0, None, out=out)
+    out *= d
+    out /= mean_d
     return out
 
 
 def coeff_a(w, eta: int, z, p0):
-    """Sensitivity of the degree-weighted map to moving unit mass of type w
-    down by eta threshold units; non-negative since lowering the threshold
-    can only raise the tail."""
-    if not (1 <= eta <= w.r):
-        raise ValueError("eta=%d outside 1..r=%d" % (eta, w.r))
-    mean_d = p0.moment("d")
-    diff = np.asarray(binom_tail(w.k, w.r - eta, z)) - np.asarray(binom_tail(w.k, w.r, z))
-    out = w.d * np.clip(diff, 0.0, None) / mean_d
-    return float(out) if np.asarray(z).ndim == 0 else out
+    """Coefficient a_{w,eta}(z) of one (type, eta) column; see coeff_matrix."""
+    out = coeff_matrix(w.d, w.k, w.r, eta, z, p0.moment("d"))[..., 0]
+    return _scalar_if(out, z)
 
 
 def phi_decomposed(p0, xi, z):
     """phi of the post-intervention statistics written as the baseline curve
     plus a linear correction in the intervention masses."""
     xi.validate_against(p0)
-    z_arr = np.asarray(z, dtype=float)
-    out = phi_grid(p0, np.atleast_1d(z_arr))
-    for w, eta, m in xi.active_items():
-        out = out + m * np.atleast_1d(coeff_a(w, eta, np.atleast_1d(z_arr), p0))
-    return float(out[0]) if z_arr.ndim == 0 else out
+    items = xi.active_items()
+    cols = np.array([(w.d, w.k, w.r, eta) for w, eta, _ in items],
+                    dtype=np.int64).reshape(-1, 4)
+    masses = np.array([m for _, _, m in items], dtype=float)
+    out = phi(p0, z) + coeff_matrix(*cols.T, z, p0.moment("d")) @ masses
+    return _scalar_if(out, z)
 
 
 def recursion(p, t_max: int = 10_000, tol: float = 1e-12):
@@ -182,12 +150,12 @@ def recursion(p, t_max: int = 10_000, tol: float = 1e-12):
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
+    curves = _Curves(p)
     z, y = 0.0, 0.0
     traj = [(z, y)]
     converged = False
     for _ in range(t_max):
-        y_next = psi(p, z)
-        z_next = phi(p, z)
+        y_next, z_next = curves.psi_phi(z)
         traj.append((z_next, y_next))
         if abs(z_next - z) < tol:
             converged = True
@@ -197,14 +165,20 @@ def recursion(p, t_max: int = 10_000, tol: float = 1e-12):
 
 
 def derivative_bound(p0) -> float:
-    """Uniform bound on |d/dz (phi(z) - z)| over every intervention of p0.
+    """Uniform bound d_max 2^(k_max+1) k_max / <p0, d> + 1 on
+    |d/dz (phi(z) - z)| over every intervention of p0.
 
     Astronomically loose on heavy-tailed networks (the 2^k_max factor);
-    meaningful only at small maximum out-degree.
+    meaningful only at small maximum out-degree.  The power of two is applied
+    as an exponent shift, and a bound beyond the float range is returned as
+    inf: no grid is fine enough, so only the empirical regime is available.
     """
     k_max = p0.k_max()
-    d_max = p0.d_max()
-    return d_max * 2.0 ** (k_max + 1) * k_max / p0.moment("d") + 1.0
+    scale = p0.d_max() * k_max / p0.moment("d")
+    try:
+        return math.ldexp(scale, k_max + 1) + 1.0
+    except OverflowError:
+        return math.inf
 
 
 def psi_inverse(p, level: float, iterations: int = 60) -> float:
@@ -212,15 +186,16 @@ def psi_inverse(p, level: float, iterations: int = 60) -> float:
     robust to plateaus since psi is non-decreasing."""
     if not (0.0 <= level <= 1.0):
         raise ValueError("level must lie in [0, 1]")
-    hi_val = psi(p, 1.0)
+    curves = _Curves(p)
+    hi_val = curves.psi(1.0)
     if level > hi_val + 1e-15:
         raise ValueError("level %.17g exceeds psi(1) = %.17g" % (level, hi_val))
-    if psi(p, 0.0) >= level:
+    if curves.psi(0.0) >= level:
         return 0.0
     lo, hi = 0.0, 1.0
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if psi(p, mid) >= level:
+        if curves.psi(mid) >= level:
             hi = mid
         else:
             lo = mid
@@ -230,8 +205,7 @@ def psi_inverse(p, level: float, iterations: int = 60) -> float:
 def dump_curves(p, path, num: int = 1001):
     """Write z, psi, phi, phi - z on an even grid as CSV."""
     zs = np.linspace(0.0, 1.0, num)
-    psis = psi_grid(p, zs)
-    phis = phi_grid(p, zs)
+    psis, phis = _Curves(p).psi_phi(zs)
     with open(path, "w") as fh:
         fh.write("z,psi,phi,phi_minus_z\n")
         for z, a, b in zip(zs, psis, phis):

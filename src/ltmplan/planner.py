@@ -10,12 +10,14 @@ finer grids against both the relaxed and the original constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp, meanfield
-from .typestats import Statistics, StatIntervention, intervention_cost, post_statistics
+from .typestats import (Statistics, StatIntervention, intervention_cost,
+                        intervention_to_records, post_statistics)
 
 
 class PlannerError(ValueError):
@@ -61,23 +63,40 @@ def alpha_eps(p0: Statistics, eps: float) -> float:
 
 def delta_n(p0: Statistics, eps: float, grid_n: int) -> float:
     """Margin under which grid feasibility certifies the continuum constraint:
-    half the grid spacing times the uniform derivative bound."""
+    half the grid spacing times the uniform derivative bound.  inf when the
+    bound overflows: then no margin certifies anything."""
     if grid_n < 1:
         raise PlannerError("grid size N must be >= 1")
     alpha = alpha_eps(p0, eps)
     return (1.0 - alpha) / (2.0 * grid_n) * meanfield.derivative_bound(p0)
 
 
+def _margins(p0: Statistics, cfg: PlannerConfig):
+    """(Delta used, guarantee value Delta_N); 'auto' needs a finite Delta_N."""
+    delta_guar = delta_n(p0, cfg.eps, cfg.grid_n)
+    if cfg.delta != "auto":
+        return float(cfg.delta), delta_guar
+    if not math.isfinite(delta_guar):
+        raise PlannerError(
+            "Delta 'auto' needs the guarantee margin Delta_N, but its derivative "
+            "bound overflows at k_max = %d; give an explicit Delta (empirical "
+            "regime)" % p0.k_max())
+    return delta_guar, delta_guar
+
+
 def _variables(p0: Statistics, eta_mode: str):
     """(type, eta) columns: every positive-mass type, reductions 1..r_w
-    (seed-only keeps just eta = r_w)."""
-    cols = []
-    for w in p0.support():
-        if w.r == 0:
-            continue
-        etas = range(1, w.r + 1) if eta_mode == "full" else [w.r]
-        cols.extend((w, eta) for eta in etas)
-    return cols
+    (seed-only keeps just eta = r_w).  Returns the types with r_w > 0 and,
+    per column, the index of its type, its eta and its cost."""
+    types = [w for w in p0.support() if w.r > 0]
+    etas = [np.arange(1, w.r + 1) if eta_mode == "full" else np.array([w.r])
+            for w in types]
+    owner = np.repeat(np.arange(len(types)),
+                      np.array([e.size for e in etas], dtype=np.int64))
+    eta = np.concatenate([np.zeros(0, dtype=np.int64)] + etas)
+    cost = np.concatenate([np.zeros(0)] + [np.asarray(w.cost)[e]
+                                           for w, e in zip(types, etas)])
+    return types, owner, eta, cost
 
 
 def build_lp(p0: Statistics, cfg: PlannerConfig):
@@ -89,35 +108,27 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     Columns that cannot lift any grid point but cost something are pruned.
     """
     alpha = alpha_eps(p0, cfg.eps)
-    delta = delta_n(p0, cfg.eps, cfg.grid_n) if cfg.delta == "auto" else float(cfg.delta)
+    delta, _ = _margins(p0, cfg)
     n_grid = cfg.grid_n
     zs = (1.0 - alpha) * np.arange(n_grid + 1) / n_grid
-    phi0 = meanfield.phi_grid(p0, zs)
-    columns = _variables(p0, cfg.eta_mode)
-    coeffs = []
-    keep = []
-    for w, eta in columns:
-        col = meanfield.coeff_a(w, eta, zs, p0)
-        if not np.any(col > 0.0) and w.cost_at(eta) > 0.0:
-            continue  # can never help, would never be selected
-        keep.append((w, eta))
-        coeffs.append(col)
-    columns = keep
+    types, owner, eta, cost = _variables(p0, cfg.eta_mode)
+    dkr = np.array([(w.d, w.k, w.r) for w in types], dtype=np.int64).reshape(-1, 3)
+    coeffs = meanfield.coeff_matrix(*dkr[owner].T, eta, zs, p0.moment("d"))
+    # a column that can never help would never be selected
+    keep = np.any(coeffs > 0.0, axis=0) | (cost <= 0.0)
+    owner, eta = owner[keep], eta[keep]
+    columns = [(types[i], e) for i, e in zip(owner.tolist(), eta.tolist())]
     nv = len(columns)
-    grid_rows = np.column_stack(coeffs) if nv else np.zeros((n_grid + 1, 0))
-    grid_rhs = zs + delta - phi0
-    types = sorted({w for w, _ in columns})
-    budget_rows = np.zeros((len(types), nv))
-    for j, w in enumerate(types):
-        for i, (w2, _) in enumerate(columns):
-            if w2 == w:
-                budget_rows[j, i] = 1.0
-    budget_rhs = np.array([p0.mass(w) for w in types])
-    rows = np.vstack([grid_rows, budget_rows])
-    senses = (lp.GE,) * (n_grid + 1) + (lp.LE,) * len(types)
+    grid_rhs = zs + delta - meanfield.phi(p0, zs)
+    # one budget row per type that keeps a column, in type order
+    used, row_of = np.unique(owner, return_inverse=True)
+    budget_rows = np.zeros((used.size, nv))
+    budget_rows[row_of, np.arange(nv)] = 1.0
+    budget_rhs = np.array([p0.mass(types[i]) for i in used])
+    rows = np.vstack([coeffs[:, keep], budget_rows])
+    senses = (lp.GE,) * (n_grid + 1) + (lp.LE,) * used.size
     rhs = np.concatenate([grid_rhs, budget_rhs])
-    objective = np.array([w.cost_at(eta) for w, eta in columns])
-    model = lp.LpModel(objective, rows, senses, rhs,
+    model = lp.LpModel(cost[keep], rows, senses, rhs,
                        np.zeros(nv), np.full(nv, np.inf))
     return model, columns, zs
 
@@ -160,7 +171,7 @@ def audit_original(p0: Statistics, xi: StatIntervention, eps: float,
     p_post = post_statistics(p0, xi)
     zmax = meanfield.psi_inverse(p_post, 1.0 - eps)
     zs = np.linspace(0.0, zmax, m + 1)
-    margins = meanfield.phi_grid(p_post, zs) - zs
+    margins = meanfield.phi(p_post, zs) - zs
     i = int(np.argmin(margins))
     return AuditReport(zmax, float(margins[i]), float(zs[i]))
 
@@ -171,7 +182,7 @@ def audit_relaxed(p0: Statistics, xi: StatIntervention, eps: float,
     cross-checking the decomposed curve against a direct evaluation."""
     alpha = alpha_eps(p0, eps)
     zs = np.linspace(0.0, 1.0 - alpha, m + 1)
-    direct = meanfield.phi_grid(post_statistics(p0, xi), zs)
+    direct = meanfield.phi(post_statistics(p0, xi), zs)
     decomposed = meanfield.phi_decomposed(p0, xi, zs)
     mismatch = float(np.max(np.abs(direct - decomposed)))
     if mismatch > 1e-8:
@@ -199,7 +210,6 @@ class PlanResult:
     binding_rows: tuple = ()
 
     def to_dict(self):
-        from .typestats import intervention_to_records
         return {
             "config": {
                 "eps": self.config.eps, "grid_n": self.config.grid_n,
@@ -208,7 +218,9 @@ class PlanResult:
             },
             "alpha_eps": self.alpha,
             "delta_used": self.delta_used,
-            "delta_N": self.delta_guarantee,
+            # strict JSON has no infinity: an overflowing bound is written as null
+            "delta_N": (self.delta_guarantee if math.isfinite(self.delta_guarantee)
+                        else None),
             "regime": "guarantee (Delta >= Delta_N)" if self.guarantee_regime
                       else "empirical (Delta < Delta_N)",
             "cost": self.cost,
@@ -230,18 +242,19 @@ def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
     Raises PlannerError on infeasibility, naming the binding grid points.
     """
     alpha = alpha_eps(p0, cfg.eps)
-    delta_guar = delta_n(p0, cfg.eps, cfg.grid_n)
-    delta = delta_guar if cfg.delta == "auto" else float(cfg.delta)
+    delta, delta_guar = _margins(p0, cfg)
     model, columns, zs = build_lp(p0, cfg)
     sol = lp.solve(model)
     if sol.status == "infeasible":
-        phi0 = meanfield.phi_grid(p0, zs)
-        need = zs + delta - phi0
-        # rows where even the full budget cannot close the gap
-        capacity = np.zeros_like(zs)
-        for i, (w, eta) in enumerate(columns):
-            capacity += p0.mass(w) * meanfield.coeff_a(w, eta, zs, p0)
-        worst = [float(z) for z, nd, cap in zip(zs, need, capacity) if nd > cap]
+        n_rows = cfg.grid_n + 1
+        grid, budget = model.rows[:n_rows], model.rows[n_rows:]
+        # a single row's largest lift puts each type's whole budget on that
+        # type's best column; rows that even this cannot close are reported
+        row_of = np.nonzero(budget.T)[1]    # the budget row of each column
+        best = np.zeros((budget.shape[0], n_rows))
+        np.maximum.at(best, row_of, grid.T)
+        capacity = model.rhs[n_rows:] @ best
+        worst = [float(z) for z in zs[model.rhs[:n_rows] > capacity]]
         raise PlannerError(
             "LP infeasible: budgets cannot lift the curve above z + Delta at "
             "grid points %s" % (worst[:5] if worst else "(degenerate)"))

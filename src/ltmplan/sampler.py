@@ -9,14 +9,14 @@ would bias the law away from the uniform conditional distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import MultiGraph, ltm_trajectory
 from .meanfield import recursion
-from .typestats import (Statistics, StatIntervention, StatsError,
-                        check_well_posed, post_statistics)
+from .typestats import (Statistics, StatIntervention, check_well_posed,
+                        post_statistics)
 
 
 class SamplerError(RuntimeError):
@@ -72,7 +72,7 @@ def round_intervention(xi: StatIntervention, n: int, seed=None) -> dict:
 class SampleInfo:
     attempts: int
     nu: float
-    predicted_acceptance: float
+    predicted_acceptance: float   # exp(-<dk>/<d>), the law of this sampler
 
 
 def _type_counts(p: Statistics, n: int, rng) -> dict:
@@ -108,18 +108,20 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
                            % (int(kappa.sum()), int(delta.sum())))
     tails = np.repeat(np.arange(len(node_types)), kappa)
     heads_base = np.repeat(np.arange(len(node_types)), delta)
-    nu = p.nu()
+    # a uniform pairing joins sum_i d_i k_i / (n <d>) = <dk>/<d> stub pairs
+    # of the same node on average, Poisson in the large-n limit
+    loops = p.moment("dk") / p.moment("d")
     for attempt in range(1, max_retries + 1):
         perm = rng.permutation(heads_base.size)
         heads = heads_base[perm]
         if not np.any(tails == heads):
             g = MultiGraph(len(node_types), tails, heads)
-            info = SampleInfo(attempt, nu, math.exp(-nu / 2.0))
+            info = SampleInfo(attempt, p.nu(), math.exp(-loops))
             return g, rho, node_types, info
     raise SamplerError(
         "no self-loop-free wiring found in %d draws; asymptotic acceptance is "
-        "exp(-nu/2) = %.3g with nu = %.3g, consider a larger retry budget"
-        % (max_retries, math.exp(-nu / 2.0), nu))
+        "exp(-<dk>/<d>) = %.3g with <dk>/<d> = %.3g, consider a larger retry "
+        "budget" % (max_retries, math.exp(-loops), loops))
 
 
 def realize_intervention(g: MultiGraph, assignment, rho, xi: StatIntervention,

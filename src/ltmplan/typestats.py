@@ -116,8 +116,9 @@ class Statistics:
         return math.fsum(m * f(w) for w, m in self.masses.items())
 
     def nu(self) -> float:
-        """<p, dk>/<p, d> - 1, the excess-degree parameter driving the
-        no-self-loop acceptance probability exp(-nu/2)."""
+        """<p, dk>/<p, d> - 1, the excess-degree parameter.  The directed
+        configuration sampler draws a self-loop-free wiring with probability
+        exp(-<dk>/<d>) = exp(-(nu + 1)), not the undirected exp(-nu/2)."""
         return self.moment("dk") / self.moment("d") - 1.0
 
     def d_min(self) -> int:

@@ -15,10 +15,11 @@ from scipy.stats import binom as sp_binom
 from conftest import lin, random_intervention, random_statistics
 from lp_oracle import random_model, vertex_enumerate
 from ltmplan import lp, meanfield
-from ltmplan.meanfield import _tail_sum, binom_tail, phi_grid, phi_decomposed
+from ltmplan.meanfield import binom_tail, phi, phi_decomposed
 from ltmplan.planner import (PlannerConfig, alpha_eps, audit_original, plan)
 from ltmplan.sampler import SamplerError, monte_carlo_validate, sample_configuration_model
 from ltmplan.typestats import AgentType, Statistics, post_statistics
+from tail_oracle import tail_sum
 
 
 def report(num, ok, detail):
@@ -41,7 +42,7 @@ def test_criterion_01_binomial_tail_oracles():
         for r in sorted({1, 2, k // 4, k // 2, 3 * k // 4, k - 1, k}):
             for z in zs[1:-1]:
                 beta_path = binom_tail(k, r, float(z))
-                recur_path = _tail_sum(k, r, float(z))
+                recur_path = tail_sum(k, r, float(z))
                 rel = abs(beta_path - recur_path) / max(recur_path, 1e-15)
                 worst_rel = max(worst_rel, rel)
     ok = worst_small <= 1e-12 and worst_rel <= 1e-9
@@ -56,7 +57,7 @@ def test_criterion_02_decomposition_identity():
     for _ in range(100):
         p0 = random_statistics(rng, max_types=10, k_max=8)
         xi = random_intervention(rng, p0)
-        direct = phi_grid(post_statistics(p0, xi), zs)
+        direct = phi(post_statistics(p0, xi), zs)
         decomposed = phi_decomposed(p0, xi, zs)
         worst = max(worst, float(np.max(np.abs(direct - decomposed))))
     report(2, worst <= 1e-10,
@@ -71,7 +72,7 @@ def test_criterion_03_derivative_bound():
         p0 = random_statistics(rng, max_types=6, k_max=6)
         xi = random_intervention(rng, p0)
         bound = meanfield.derivative_bound(p0)
-        vals = phi_grid(post_statistics(p0, xi), zs) - zs
+        vals = phi(post_statistics(p0, xi), zs) - zs
         slopes = np.abs(vals[2:] - vals[:-2]) / (zs[2] - zs[0])
         worst_excess = max(worst_excess, float(np.max(slopes)) - bound)
     report(3, worst_excess <= 1e-6,

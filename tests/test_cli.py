@@ -135,3 +135,22 @@ def test_env_defaults(tmp_path, monkeypatch):
     rc = main(["stats", "--out", out])
     assert rc == EXIT_OK
     assert json.load(open(os.path.join(out, "statistics.json")))["n"] == 20
+
+
+def test_plan_beyond_float_derivative_bound(tmp_path, capsys):
+    # one type at k = 1100: Delta_N overflows, so 'auto' is a plan-stage
+    # error while an explicit Delta plans in the empirical regime
+    stats = tmp_path / "statistics.json"
+    stats.write_text(json.dumps({"n": 10, "types": [
+        {"d": 1100, "k": 1100, "r": 2, "cost": [0.0, 1.0, 2.0], "mass": 1.0}]}))
+    out = str(tmp_path / "plan")
+    common = ["plan", "--statistics", str(stats), "--eps", "0.1",
+              "--grid-n", "20", "--out", out]
+    capsys.readouterr()
+    assert main(common + ["--delta", "auto"]) == EXIT_PLAN
+    err = capsys.readouterr().err
+    assert err.startswith("planner error:") and err.count("\n") == 1
+    assert main(common + ["--delta", "0.05"]) == EXIT_OK
+    text = open(os.path.join(out, "plan.json")).read()
+    doc = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+    assert doc["delta_N"] is None and "empirical" in doc["regime"]

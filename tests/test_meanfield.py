@@ -5,12 +5,12 @@ import pytest
 from scipy.stats import binom
 
 from conftest import lin, random_intervention, random_statistics
-from ltmplan.meanfield import (SMALL_K, _tail_sum, binom_tail, coeff_a,
-                               derivative_bound, dump_curves, phi,
-                               phi_decomposed, phi_grid, psi, psi_grid,
+from ltmplan.meanfield import (binom_tail, coeff_a, derivative_bound,
+                               dump_curves, phi, phi_decomposed, psi,
                                psi_inverse, recursion)
 from ltmplan.typestats import (AgentType, StatIntervention, Statistics,
                                post_statistics)
+from tail_oracle import tail_sum
 
 
 def test_binom_tail_edges():
@@ -35,8 +35,8 @@ def test_binom_tail_against_scipy_sf():
 
 
 def test_binom_tail_small_k_brute_force():
-    # direct term-by-term sums for every (k, r) up to the small-k cutoff edge
-    for k in (1, 2, 3, 7, SMALL_K):
+    # direct term-by-term sums for every (k, r) up to k = 30
+    for k in (1, 2, 3, 7, 30):
         for r in range(1, k + 1):
             for z in (0.01, 0.3, 0.5, 0.77, 0.99):
                 ref = math.fsum(math.comb(k, u) * z**u * (1 - z)**(k - u)
@@ -45,14 +45,14 @@ def test_binom_tail_small_k_brute_force():
 
 
 def test_binom_tail_large_k_cross_check():
-    # beta-function path vs the independent mode-centered summation
+    # incomplete-beta evaluation vs the independent mode-centered summation
     rng = np.random.default_rng(22)
     for _ in range(60):
-        k = int(rng.integers(SMALL_K + 1, 2000))
+        k = int(rng.integers(31, 2000))
         r = int(rng.integers(1, k + 1))
         z = float(rng.random())
         got = binom_tail(k, r, z)
-        ref = _tail_sum(k, r, z)
+        ref = tail_sum(k, r, z)
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
@@ -85,9 +85,9 @@ def test_grid_matches_scalar():
     for _ in range(10):
         p = random_statistics(rng, k_max=40)
         zs = rng.random(17)
-        assert psi_grid(p, zs) == pytest.approx(
+        assert psi(p, zs) == pytest.approx(
             np.array([psi(p, z) for z in zs]), abs=1e-13)
-        assert phi_grid(p, zs) == pytest.approx(
+        assert phi(p, zs) == pytest.approx(
             np.array([phi(p, z) for z in zs]), abs=1e-13)
 
 
@@ -161,13 +161,24 @@ def test_derivative_bound_worked_example():
     assert derivative_bound(p) == pytest.approx(25.0)
 
 
+def test_derivative_bound_beyond_float_range():
+    # the exponent shift keeps the old product's value wherever it is finite
+    # and reports inf (empirical regime only) where 2^(k_max+1) overflows
+    near = Statistics({AgentType(3, 1000, 1, lin(1)): 0.5,
+                       AgentType(5, 2, 1, lin(1)): 0.5})
+    direct = 5 * 2.0 ** 1001 * 1000 / 4.0 + 1.0
+    assert derivative_bound(near) == pytest.approx(direct, rel=1e-12)
+    assert derivative_bound(Statistics({AgentType(1100, 1100, 2, lin(2)): 1.0})) \
+        == math.inf
+
+
 def test_derivative_bound_dominates_slope():
     rng = np.random.default_rng(26)
     for _ in range(15):
         p = random_statistics(rng, k_max=6)
         bound = derivative_bound(p)
         zs = np.linspace(0.0, 1.0, 2001)
-        vals = phi_grid(p, zs) - zs
+        vals = phi(p, zs) - zs
         slopes = np.abs(np.diff(vals)) / np.diff(zs)
         assert np.max(slopes) <= bound + 1e-9
 

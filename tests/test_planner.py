@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,7 +69,7 @@ def test_build_lp_structure():
     assert model.senses[11:] == (lp.LE,) * 3
     assert zs[0] == 0.0 and zs[-1] == pytest.approx(1.0 - alpha_eps(p0, 0.1))
     # grid row rhs is z + Delta - phi0(z)
-    phi0 = meanfield.phi_grid(p0, zs)
+    phi0 = meanfield.phi(p0, zs)
     assert model.rhs[:11] == pytest.approx(zs + 0.05 - phi0)
     # objective carries each type's cost table
     for c, (w, eta) in zip(model.objective, columns):
@@ -147,12 +149,55 @@ def test_plan_seed_only_never_cheaper():
     assert strict >= 1
 
 
+def test_build_lp_columns_match_coeff_a():
+    rng = np.random.default_rng(43)
+    pruned = 0
+    for trial in range(12):
+        masses = {w: 0.8 * m
+                  for w, m in random_statistics(rng, k_max=8).masses.items()}
+        # a zero-threshold type (no columns) and a high-degree type whose
+        # partial reductions cannot lift the coarsest grid (pruned columns)
+        for w in (AgentType(3, 3, 0, (0.0,)), AgentType(40, 40, 3, lin(3))):
+            masses[w] = masses.get(w, 0.0) + 0.1
+        p0 = Statistics(masses)
+        cfg = PlannerConfig(eps=0.2, grid_n=(1, 2, 5)[trial % 3], delta=0.05)
+        model, columns, zs = build_lp(p0, cfg)
+        n_rows = cfg.grid_n + 1
+        pruned += sum(w.r for w in p0.support()) - len(columns)
+        for i, (w, eta) in enumerate(columns):
+            assert np.max(np.abs(model.rows[:n_rows, i]
+                                 - meanfield.coeff_a(w, eta, zs, p0))) <= 1e-15
+            assert model.objective[i] == w.cost_at(eta)
+            # exactly one budget row holds the column, capped at its type mass
+            (j,) = np.flatnonzero(model.rows[n_rows:, i])
+            assert model.rows[n_rows + j, i] == 1.0
+            assert model.rhs[n_rows + j] == p0.mass(w)
+    assert pruned > 0
+
+
 def test_plan_infeasible_reports_grid_points():
     p0 = Statistics({AgentType(2, 2, 2, lin(2)): 1.0})
     # Delta far above alpha: near z = 1 - alpha even full seeding cannot
-    # reach z + Delta
-    with pytest.raises(PlannerError, match="infeasible"):
+    # reach z + Delta.  The best single column at full mass is seeding, with
+    # lift 1 - z^2 against a need of z + 0.2 - z^2, so every grid point
+    # 0.9 i / 50 above z = 0.8 fails; the first five are reported
+    with pytest.raises(PlannerError, match="infeasible") as exc:
         plan(p0, PlannerConfig(eps=0.1, grid_n=50, delta=0.2))
+    listed = re.search(r"grid points \[(.*)\]", str(exc.value)).group(1)
+    assert [float(v) for v in listed.split(",")] == pytest.approx(
+        [0.81, 0.828, 0.846, 0.864, 0.882], abs=1e-12)
+
+
+def test_plan_beyond_float_derivative_bound():
+    # k_max = 1100 puts 2^(k_max + 1) past the float range: Delta_N is inf
+    p0 = Statistics({AgentType(1100, 1100, 2, lin(2)): 1.0})
+    res = plan(p0, PlannerConfig(eps=0.1, grid_n=20, delta=0.05))
+    assert res.delta_guarantee == math.inf and not res.guarantee_regime
+    doc = json.loads(json.dumps(res.to_dict(), allow_nan=False))
+    assert doc["delta_N"] is None and "empirical" in doc["regime"]
+    assert res.original_audit.ok
+    with pytest.raises(PlannerError, match="overflows"):
+        plan(p0, PlannerConfig(eps=0.1, grid_n=20, delta="auto"))
 
 
 def test_audits_flag_inadequate_intervention():
@@ -168,7 +213,6 @@ def test_audits_flag_inadequate_intervention():
 
 
 def test_plan_to_dict_is_json_ready():
-    import json
     res = plan(mixed_quartic(), PlannerConfig(eps=0.1, grid_n=50, delta=0.05))
     doc = res.to_dict()
     text = json.dumps(doc)

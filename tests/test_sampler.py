@@ -63,7 +63,8 @@ def test_sample_matches_requested_statistics():
     assert np.all(rho == np.array([w.r for w in node_types]))
     assert not np.any(g.tails == g.heads)
     assert sum(1 for w in node_types if w.k == 2) == 50
-    assert info.predicted_acceptance == pytest.approx(math.exp(-p.nu() / 2.0))
+    assert info.predicted_acceptance == pytest.approx(
+        math.exp(-p.moment("dk") / p.moment("d")))
 
 
 def test_sample_is_reproducible():
