@@ -5,8 +5,6 @@ resolved configuration, and all tabular output is headed CSV so the curves
 can be plotted directly.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -49,8 +47,14 @@ PRESETS = {
 }
 
 
-def _env_default(name, fallback):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
+class UsageError(ValueError):
+    pass
+
+
+# message prefix per failure type; main reports any other error as "input"
+FAILURE_KINDS = ((UsageError, "usage"), (GraphError, "graph"),
+                 (StatsError, "statistics"), (PlannerError, "planner"),
+                 (SamplerError, "sampler"))
 
 
 def _write_json(path, doc):
@@ -62,11 +66,16 @@ def _write_json(path, doc):
 def _load_stats_doc(path):
     with open(path) as fh:
         doc = json.load(fh)
-    return statistics_from_records(doc["types"], n=doc.get("n")), doc
+    return statistics_from_records(doc["types"], n=doc.get("n"))
 
 
-def _stats_doc(g, p0, config):
-    return {
+def _write_statistics(path, g, p0, args, seed, **extra):
+    """Write statistics.json; returns its config block."""
+    config = {"edges": args.edges, "undirected": args.undirected,
+              "threshold_rule": args.threshold_rule,
+              "cost_rule": args.cost_rule, "seed": seed, **extra,
+              "clamped": args.clamp_thresholds}
+    _write_json(path, {
         "n": g.n,
         "edges": g.edge_count,
         "d_min": p0.d_min(),
@@ -77,48 +86,44 @@ def _stats_doc(g, p0, config):
         "num_types": len(p0.support()),
         "config": config,
         "types": statistics_to_records(p0),
-    }
+    })
+    return config
 
 
-class UsageError(ValueError):
-    pass
-
-
-def _build_stats(args, seed_offset=0):
+def _network(args):
     if not args.edges:
         raise UsageError("no edge list given (--edges or LTMPLAN_EDGES)")
-    g, _ = parse_edge_list(args.edges, undirected=args.undirected,
-                           drop_self_loops=args.drop_self_loops)
-    seed = None if args.seed is None else args.seed + seed_offset
+    return parse_edge_list(args.edges, undirected=args.undirected,
+                           drop_self_loops=args.drop_self_loops)[0]
+
+
+def _statistics(g, args, seed):
+    """Thresholds drawn with `seed`, then the type statistics of g."""
     rho = threshold_rule(args.threshold_rule, seed=seed)(g)
     if args.clamp_thresholds:
         rho = check_thresholds(g, rho, clamp=True)
     p0, assignment = extract_statistics(g, rho, cost_rule(args.cost_rule))
-    return g, rho, p0, assignment
+    return rho, p0, assignment
 
 
 def cmd_stats(args):
-    g, _, p0, _ = _build_stats(args)
-    config = {"edges": args.edges, "undirected": args.undirected,
-              "threshold_rule": args.threshold_rule,
-              "cost_rule": args.cost_rule, "seed": args.seed,
-              "clamped": args.clamp_thresholds}
+    g = _network(args)
+    _, p0, _ = _statistics(g, args, args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "statistics.json")
-    _write_json(path, _stats_doc(g, p0, config))
+    _write_statistics(path, g, p0, args, args.seed)
     print("wrote %s (n=%d, %d types)" % (path, g.n, len(p0.support())))
     return EXIT_OK
 
 
 def _run_plan(p0, args):
-    delta = args.delta if args.delta == "auto" else float(args.delta)
-    cfg = PlannerConfig(eps=args.eps, grid_n=args.grid_n, delta=delta,
-                        fine_m=args.fine_m, eta_mode=args.eta_mode)
-    return plan(p0, cfg)
+    return plan(p0, PlannerConfig(eps=args.eps, grid_n=args.grid_n,
+                                  delta=args.delta, fine_m=args.fine_m,
+                                  eta_mode=args.eta_mode))
 
 
 def cmd_plan(args):
-    p0, _ = _load_stats_doc(args.statistics)
+    p0 = _load_stats_doc(args.statistics)
     result = _run_plan(p0, args)
     os.makedirs(args.out, exist_ok=True)
     doc = result.to_dict()
@@ -159,14 +164,15 @@ def _realize_and_compare(g, assignment, rho, p0, xi, seed, csv_path):
 
 
 def cmd_validate(args):
-    p0, _ = _load_stats_doc(args.statistics)
+    p0 = _load_stats_doc(args.statistics)
     with open(args.plan) as fh:
         plan_doc = json.load(fh)
     xi = intervention_from_records(plan_doc["xi"]).validate_against(p0, tol=1e-9)
     os.makedirs(args.out, exist_ok=True)
     if args.edges:
         # realize mode: apply the plan to a concrete network
-        g, rho, _, assignment = _build_stats(args)
+        g = _network(args)
+        rho, _, assignment = _statistics(g, args, args.seed)
         h, ys = _realize_and_compare(
             g, assignment, rho, p0, xi, args.seed,
             os.path.join(args.out, "trajectory_realized.csv"))
@@ -194,45 +200,28 @@ def cmd_validate(args):
 
 
 def cmd_experiment(args):
-    preset = PRESETS.get(args.preset)
-    if preset:
-        for key, val in preset.items():
-            if getattr(args, key, None) in (None, "preset"):
-                setattr(args, key, val)
-    if args.instances is None:
-        args.instances = 1
+    # args.stage follows the running stage: a failure exits with its code
+    g = _network(args)
     os.makedirs(args.out, exist_ok=True)
     costs, finals = [], []
     base_seed = args.seed if args.seed is not None else 0
     for inst in range(args.instances):
         inst_dir = os.path.join(args.out, "instance%02d" % inst)
         os.makedirs(inst_dir, exist_ok=True)
-        try:
-            g, rho, p0, assignment = _build_stats(args, seed_offset=inst)
-        except (GraphError, StatsError) as exc:
-            print("experiment aborted in stats stage: %s" % exc, file=sys.stderr)
-            return EXIT_STATS
-        config = {"edges": args.edges, "undirected": args.undirected,
-                  "threshold_rule": args.threshold_rule,
-                  "cost_rule": args.cost_rule, "seed": base_seed + inst,
-                  "instance": inst, "clamped": args.clamp_thresholds}
-        _write_json(os.path.join(inst_dir, "statistics.json"),
-                    _stats_doc(g, p0, config))
-        try:
-            result = _run_plan(p0, args)
-        except PlannerError as exc:
-            print("experiment aborted in plan stage: %s" % exc, file=sys.stderr)
-            return EXIT_PLAN
+        args.stage = EXIT_STATS
+        rho, p0, assignment = _statistics(
+            g, args, None if args.seed is None else args.seed + inst)
+        config = _write_statistics(os.path.join(inst_dir, "statistics.json"),
+                                   g, p0, args, base_seed + inst, instance=inst)
+        args.stage = EXIT_PLAN
+        result = _run_plan(p0, args)
         doc = result.to_dict()
         doc["config"].update(config)
         _write_json(os.path.join(inst_dir, "plan.json"), doc)
-        try:
-            _, ys = _realize_and_compare(
-                g, assignment, rho, p0, result.xi, base_seed + 1000 + inst,
-                os.path.join(inst_dir, "trajectory.csv"))
-        except SamplerError as exc:
-            print("experiment aborted in validate stage: %s" % exc, file=sys.stderr)
-            return EXIT_VALIDATE
+        args.stage = EXIT_VALIDATE
+        _, ys = _realize_and_compare(
+            g, assignment, rho, p0, result.xi, base_seed + 1000 + inst,
+            os.path.join(inst_dir, "trajectory.csv"))
         costs.append(result.cost)
         finals.append(float(ys[-1]))
         print("instance %d: cost %.6g, final fraction %.4f"
@@ -251,41 +240,53 @@ def cmd_experiment(args):
     return EXIT_OK
 
 
+def delta_or_auto(text):
+    return text if text == "auto" else float(text)
+
+
 def _add_network_args(p):
-    p.add_argument("--edges", default=_env_default("edges", None),
-                   help="edge-list file, one 'tail head' pair per line")
+    p.add_argument("--edges", help="edge-list file, one 'tail head' pair per line")
     p.add_argument("--undirected", action="store_true",
-                   default=_env_default("undirected", "") not in ("", "0"),
                    help="emit both directions for every input line")
     p.add_argument("--drop-self-loops", action="store_true",
                    help="drop self-loop lines with a warning instead of failing")
-    p.add_argument("--threshold-rule",
-                   default=_env_default("threshold_rule", "half-out-degree"),
+    p.add_argument("--threshold-rule", default="half-out-degree",
                    help="half-out-degree | uniform-random | file:PATH")
-    p.add_argument("--cost-rule", default=_env_default("cost_rule", "linear"),
+    p.add_argument("--cost-rule", default="linear",
                    help="linear | seeding | unit-seeding | file:PATH")
     p.add_argument("--clamp-thresholds", action="store_true",
                    help="clamp file thresholds above the out-degree (recorded)")
 
 
 def _add_plan_args(p):
-    p.add_argument("--eps", type=float, default=float(_env_default("eps", 0.1)))
-    p.add_argument("--grid-n", type=int, default=int(_env_default("grid_n", 100)))
-    p.add_argument("--delta", default=_env_default("delta", 0.05),
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--grid-n", type=int, default=100)
+    p.add_argument("--delta", type=delta_or_auto, default=0.05,
                    help="margin, a positive real or 'auto' for the guarantee value")
     p.add_argument("--fine-m", type=int, default=None,
                    help="audit grid size (default 10 * grid-n)")
     p.add_argument("--eta-mode", choices=("full", "seed-only"), default="full")
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int,
-                   default=None if _env_default("seed", None) is None
-                   else int(_env_default("seed", None)))
-    p.add_argument("--out", default=_env_default("out", "out"))
+def _env_defaults(p):
+    """Default every flag of p from LTMPLAN_<DEST>.  argparse converts a
+    string default with the flag's type when the flag is not given, so a
+    bad value is a usage error; switches read '' and '0' as off."""
+    for action in p._actions:
+        value = os.environ.get(ENV_PREFIX + action.dest.upper())
+        if value is None or action.dest == "help":
+            continue
+        if action.nargs == 0:
+            value = value not in ("", "0")
+        elif value not in (action.choices or (value,)):
+            p.error("invalid choice %s%s=%r" % (ENV_PREFIX, action.dest.upper(), value))
+        action.default = value
+        action.required = False
 
 
-def build_parser():
+def build_parser(preset=None):
+    """Flag defaults by rising precedence: built in, LTMPLAN_<DEST>, the
+    value `preset` gives; a flag given on the command line beats all three."""
     parser = argparse.ArgumentParser(
         prog="ltmplan",
         description="Least-cost threshold-reduction planning for linear "
@@ -295,60 +296,58 @@ def build_parser():
 
     p = sub.add_parser("stats", help="extract type statistics from an edge list")
     _add_network_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, stage=EXIT_STATS)
 
     p = sub.add_parser("plan", help="solve the discretized intervention LP")
     p.add_argument("--statistics", required=True, help="statistics.json from 'stats'")
     _add_plan_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_plan)
+    p.set_defaults(func=cmd_plan, stage=EXIT_PLAN)
 
     p = sub.add_parser("validate",
                        help="Monte Carlo validation, or realize a plan on a "
                             "concrete network when --edges is given")
     p.add_argument("--statistics", required=True)
     p.add_argument("--plan", required=True, help="plan.json from 'plan'")
-    p.add_argument("--eps", type=float, default=float(_env_default("eps", 0.1)))
-    p.add_argument("--mc-n", type=int, default=int(_env_default("mc_n", 10000)))
-    p.add_argument("--replicates", type=int,
-                   default=int(_env_default("replicates", 1)))
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--mc-n", type=int, default=10000)
+    p.add_argument("--replicates", type=int, default=1)
     _add_network_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, stage=EXIT_VALIDATE)
 
     p = sub.add_parser("experiment", help="full stats -> plan -> realize pipeline")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None,
+    p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named parameterization (dataset supplied by user)")
-    p.add_argument("--instances", type=int, default=None,
+    p.add_argument("--instances", type=int, default=1,
                    help="threshold instances to average over (random rules)")
     _add_network_args(p)
     _add_plan_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, stage=EXIT_STATS)
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default="out")
+        _env_defaults(p)
+    sub.choices["experiment"].set_defaults(**PRESETS.get(preset, {}))
     return parser
 
 
+def parse_args(argv=None):
+    """Parse argv; a preset, once known, is parsed in as defaults."""
+    args = build_parser().parse_args(argv)
+    if getattr(args, "preset", None):
+        args = build_parser(args.preset).parse_args(argv)
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except GraphError as exc:
-        print("graph error: %s" % exc, file=sys.stderr)
-        return EXIT_STATS
-    except StatsError as exc:
-        print("statistics error: %s" % exc, file=sys.stderr)
-        return EXIT_STATS
-    except PlannerError as exc:
-        print("planner error: %s" % exc, file=sys.stderr)
-        return EXIT_PLAN
-    except SamplerError as exc:
-        print("sampler error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATE
+    except (*(cls for cls, _ in FAILURE_KINDS), OSError, ValueError, KeyError) as exc:
+        kind = next((name for cls, name in FAILURE_KINDS if isinstance(exc, cls)),
+                    "input")
+        text = "%s: %s" % (type(exc).__name__, exc) if kind == "input" else str(exc)
+        print("%s error: %s" % (kind, text.partition("\n")[0]), file=sys.stderr)
+        return EXIT_USAGE if kind == "usage" else args.stage
 
 
 if __name__ == "__main__":

@@ -8,11 +8,13 @@ self-loops are never allowed.
 
 from __future__ import annotations
 
-import sys
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+log = logging.getLogger(__name__)
 
 
 class GraphError(ValueError):
@@ -95,7 +97,6 @@ def check_thresholds(g: MultiGraph, rho, clamp: bool = False) -> np.ndarray:
     if not np.issubdtype(rho.dtype, np.integer):
         if not np.all(rho == np.floor(rho)):
             raise GraphError("thresholds must be integers")
-        rho = rho.astype(np.int64)
     rho = rho.astype(np.int64)
     if rho.min(initial=0) < 0:
         raise GraphError("thresholds must be non-negative")
@@ -218,7 +219,6 @@ def parse_edge_list(path, undirected: bool = False, drop_self_loops: bool = Fals
     if not id_map:
         raise GraphError("%s: no edges found, empty network rejected" % path)
     if dropped:
-        print("warning: dropped %d self-loop line(s) from %s" % (dropped, path),
-              file=sys.stderr)
+        log.warning("dropped %d self-loop line(s) from %s", dropped, path)
     g = MultiGraph(len(id_map), np.asarray(tails), np.asarray(heads))
     return g, id_map

@@ -87,12 +87,8 @@ def check_solution(model: LpModel, x) -> tuple[float, float]:
     if x.shape != (model.num_vars,):
         raise ValueError("point has %d entries, model has %d variables"
                          % (x.size, model.num_vars))
-    viol = 0.0
-    if model.num_rows:
-        ax = model.rows @ x
-        for j, sense in enumerate(model.senses):
-            resid = model.rhs[j] - ax[j] if sense == GE else ax[j] - model.rhs[j]
-            viol = max(viol, resid)
+    resid = _row_signs(model) * (model.rows @ x - model.rhs)
+    viol = float(np.max(resid, initial=0.0))
     viol = max(viol, float(np.max(model.lower - x, initial=0.0)))
     finite_hi = np.isfinite(model.upper)
     if finite_hi.any():
@@ -100,9 +96,14 @@ def check_solution(model: LpModel, x) -> tuple[float, float]:
     return viol, float(model.objective @ x)
 
 
+def _row_signs(model: LpModel) -> np.ndarray:
+    """+1 for LE rows, -1 for GE rows: every row reads sign * (a x - b) <= 0."""
+    return np.array([-1.0 if s == GE else 1.0 for s in model.senses])
+
+
 def _to_ub_form(model: LpModel):
     """All rows as A x <= b."""
-    signs = np.array([-1.0 if s == GE else 1.0 for s in model.senses])
+    signs = _row_signs(model)
     a_ub = model.rows * signs[:, None]
     b_ub = model.rhs * signs
     return a_ub, b_ub
@@ -117,9 +118,7 @@ def solve(model: LpModel, feas_tol: float = FEAS_TOL,
     """
     if model.num_vars == 0:
         # vacuous model: feasible iff every row already holds at x = ()
-        ok = all(rhs <= feas_tol if sense == GE else rhs >= -feas_tol
-                 for sense, rhs in zip(model.senses, model.rhs))
-        if ok:
+        if check_solution(model, np.zeros(0))[0] <= feas_tol:
             return LpSolution("optimal", np.zeros(0), 0.0, 0.0, 0.0, 0)
         return LpSolution("infeasible", None, None, None, None, 0,
                           "empty model with unsatisfiable row")

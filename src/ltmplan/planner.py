@@ -207,7 +207,6 @@ class PlanResult:
     lp_iterations: int
     lp_gap: float
     config: PlannerConfig
-    binding_rows: tuple = ()
 
     def to_dict(self):
         return {
@@ -262,16 +261,12 @@ def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
         raise PlannerError("LP solve failed: %s (%s)" % (sol.status, sol.message))
     xi = solution_to_intervention(p0, columns, sol.x)
     cost = intervention_cost(xi)
-    # independent residual audit of the grid rows
-    viol, _ = lp.check_solution(model, sol.x)
     n_grid = cfg.grid_n
     lift = model.rows[: n_grid + 1] @ sol.x if len(columns) else np.zeros(n_grid + 1)
     grid_margin = float(np.min(lift - model.rhs[: n_grid + 1]))
     m = cfg.audit_points
     relaxed = audit_relaxed(p0, xi, cfg.eps, m)
     original = audit_original(p0, xi, cfg.eps, m)
-    binding = tuple(float(z) for z, g in zip(zs, lift - model.rhs[: n_grid + 1])
-                    if g <= 1e-9)
     return PlanResult(
         xi=xi, cost=cost, alpha=alpha, delta_used=delta,
         delta_guarantee=delta_guar,
@@ -279,5 +274,5 @@ def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
         grid_margin=grid_margin, relaxed_audit=relaxed, original_audit=original,
         lp_status=sol.status, lp_iterations=sol.iterations,
         lp_gap=sol.dual_gap if sol.dual_gap is not None else float("nan"),
-        config=cfg, binding_rows=binding,
+        config=cfg,
     )

@@ -43,8 +43,8 @@ class AgentType:
             raise StatsError("cost of the null reduction must be 0")
         if any(b < a for a, b in zip(cost, cost[1:])):
             raise StatsError("cost table must be non-decreasing")
-        if any(c < 0 for c in cost):
-            raise StatsError("costs must be non-negative")
+        if not all(0.0 <= c < math.inf for c in cost):
+            raise StatsError("costs must be finite and non-negative")
         object.__setattr__(self, "cost", cost)
 
     def cost_at(self, eta: int) -> float:
@@ -79,8 +79,9 @@ class Statistics:
         if not masses:
             raise StatsError("statistics must contain at least one type")
         for w, m in masses.items():
-            if m < -MASS_TOL:
-                raise StatsError("negative mass %g on type %s" % (m, w))
+            if not -MASS_TOL <= m < math.inf:
+                raise StatsError("mass %g on type %s is negative or not finite"
+                                 % (m, w))
         total = math.fsum(masses.values())
         if abs(total - 1.0) > 1e-9:
             raise StatsError("type masses sum to %.17g, expected 1" % total)
@@ -129,9 +130,6 @@ class Statistics:
 
     def k_max(self) -> int:
         return max(w.k for w in self.support())
-
-    def r_max(self) -> int:
-        return max(w.r for w in self.support())
 
 
 class StatIntervention:
@@ -182,8 +180,7 @@ def null_intervention(p0: Statistics) -> StatIntervention:
     return StatIntervention({(w, 0): m for w, m in p0.masses.items()})
 
 
-def post_statistics(p0: Statistics, xi: StatIntervention,
-                    keep_zero: bool = False) -> Statistics:
+def post_statistics(p0: Statistics, xi: StatIntervention) -> Statistics:
     """Statistics after applying xi: each reduced slice of a type becomes the
     corresponding lower-threshold type.  Total mass and the d/k first moments
     are conserved exactly."""
@@ -193,8 +190,7 @@ def post_statistics(p0: Statistics, xi: StatIntervention,
         out[w] = out.get(w, 0.0) - m
         w2 = w.reduced(eta)
         out[w2] = out.get(w2, 0.0) + m
-    if not keep_zero:
-        out = {w: m for w, m in out.items() if abs(m) > MASS_TOL}
+    out = {w: m for w, m in out.items() if abs(m) > MASS_TOL}
     # clip the tiny negatives cancellation can leave behind
     out = {w: (0.0 if -MASS_TOL < m < 0.0 else m) for w, m in out.items()}
     return Statistics(out)
@@ -329,15 +325,16 @@ def statistics_to_records(p: Statistics):
 
 def statistics_from_records(records, n=None):
     masses = {}
-    counts = {} if n else None
     for rec in records:
         w = AgentType(int(rec["d"]), int(rec["k"]), int(rec["r"]), tuple(rec["cost"]))
         if w in masses:
             raise StatsError("duplicate type record for %s" % (w,))
         masses[w] = float(rec["mass"])
-        if n:
-            counts[w] = int(round(n * masses[w]))
-    return Statistics(masses, counts=counts, n=n)
+    p = Statistics(masses)      # checks the masses before they are counted
+    if not n:
+        return p
+    counts = {w: int(round(n * m)) for w, m in p.masses.items()}
+    return Statistics(p.masses, counts=counts, n=n)
 
 
 def intervention_to_records(xi: StatIntervention):

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from ltmplan.cli import (EXIT_OK, EXIT_PLAN, EXIT_STATS, EXIT_USAGE,
-                         build_parser, main)
+                         EXIT_VALIDATE, main, parse_args)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "toy_network.txt")
 
@@ -101,11 +101,38 @@ def test_experiment(tmp_path):
             assert os.path.exists(os.path.join(d, name))
 
 
-def test_experiment_preset_fills_defaults():
-    parser = build_parser()
-    args = parser.parse_args(["experiment", "--preset", "powergrid",
-                              "--edges", DATA])
+def test_experiment_preset_fills_defaults(monkeypatch):
+    argv = ["experiment", "--preset", "powergrid", "--edges", DATA]
+    args = parse_args(argv)
     assert args.preset == "powergrid"
+    assert args.undirected is True
+    assert args.threshold_rule == "uniform-random"
+    assert args.eps == 0.3 and args.instances == 10
+    # precedence: flag > preset > environment > built-in default
+    monkeypatch.setenv("LTMPLAN_EPS", "0.2")
+    monkeypatch.setenv("LTMPLAN_FINE_M", "300")
+    args = parse_args(argv + ["--instances", "3"])
+    assert args.instances == 3
+    assert args.eps == 0.3
+    assert args.fine_m == 300
+    assert args.cost_rule == "linear" and args.delta == 0.05
+    args = parse_args(["experiment", "--edges", DATA])
+    assert args.eps == 0.2 and args.instances == 1 and not args.undirected
+
+
+def test_experiment_preset_applied(tmp_path):
+    out = str(tmp_path / "exp")
+    rc = main(["experiment", "--preset", "powergrid", "--edges", DATA,
+               "--seed", "0", "--out", out])
+    assert rc == EXIT_OK
+    summary = json.load(open(os.path.join(out, "experiment.json")))
+    assert summary["preset"] == "powergrid"
+    assert summary["eps"] == 0.3 and summary["instances"] == 10
+    for inst in range(10):
+        path = os.path.join(out, "instance%02d" % inst, "statistics.json")
+        config = json.load(open(path))["config"]
+        assert config["undirected"] is True
+        assert config["threshold_rule"] == "uniform-random"
 
 
 def test_exit_code_usage(tmp_path):
@@ -126,6 +153,50 @@ def test_exit_code_plan_error(tmp_path):
                "--grid-n", "50", "--delta", "0.9",
                "--out", str(tmp_path / "x")])
     assert rc == EXIT_PLAN
+
+
+def assert_one_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_exit_code_plan_input_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (str(tmp_path / "missing.json"), str(bad)):
+        rc = main(["plan", "--statistics", path, "--out", str(tmp_path / "x")])
+        assert rc == EXIT_PLAN
+        assert_one_line(capsys, "input error:")
+
+
+def test_exit_code_validate_mismatch(tmp_path, capsys):
+    plan_path = run_plan(tmp_path, run_stats(tmp_path))
+    other = run_stats(tmp_path / "other", ["--threshold-rule", "uniform-random",
+                                           "--seed", "1"])
+    capsys.readouterr()
+    rc = main(["validate", "--statistics", other, "--plan", plan_path,
+               "--out", str(tmp_path / "x")])
+    assert rc == EXIT_VALIDATE
+    assert_one_line(capsys, "statistics error:")
+
+
+@pytest.mark.parametrize("name, value", [("LTMPLAN_EPS", "abc"),
+                                         ("LTMPLAN_ETA_MODE", "none")])
+def test_bad_env_value_is_usage_error(tmp_path, monkeypatch, name, value):
+    stats = run_stats(tmp_path)
+    monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--statistics", stats, "--out", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_experiment_exit_code_is_failing_stage(tmp_path, capsys):
+    common = ["experiment", "--edges", DATA, "--undirected", "--eps", "0.1",
+              "--grid-n", "50", "--out", str(tmp_path / "x")]
+    assert main(common + ["--threshold-rule", "bogus"]) == EXIT_STATS
+    assert_one_line(capsys, "statistics error:")
+    assert main(common + ["--delta", "0.9"]) == EXIT_PLAN
+    assert_one_line(capsys, "planner error:")
 
 
 def test_env_defaults(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -153,13 +155,15 @@ def test_parse_edge_list(tmp_path):
     assert np.all(g2.out_degrees == g2.in_degrees)
 
 
-def test_parse_edge_list_errors(tmp_path):
+def test_parse_edge_list_errors(tmp_path, caplog):
     loop = tmp_path / "loop.txt"
     loop.write_text("a b\nc c\n")
     with pytest.raises(GraphError, match="loop.txt:2"):
         parse_edge_list(loop)
-    g, _ = parse_edge_list(loop, drop_self_loops=True)
+    with caplog.at_level(logging.WARNING, logger="ltmplan.graph"):
+        g, _ = parse_edge_list(loop, drop_self_loops=True)
     assert g.edge_count == 1
+    assert caplog.messages == ["dropped 1 self-loop line(s) from %s" % loop]
 
     bad = tmp_path / "bad.txt"
     bad.write_text("a b\njusttoken\n")

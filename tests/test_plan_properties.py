@@ -1,0 +1,65 @@
+"""Property suite: `ltmplan plan` on extreme statistics documents either
+plans (exit 0) or fails in the plan stage with one stderr line (exit 4); it
+never raises."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from ltmplan.cli import EXIT_OK, EXIT_PLAN, main  # noqa: E402
+
+
+@st.composite
+def type_records(draw):
+    k = draw(st.one_of(st.integers(0, 12), st.integers(0, 100_000)))
+    r = draw(st.integers(0, min(k, 3)))
+    d = draw(st.one_of(st.just(0), st.just(k), st.integers(1, 12),
+                       st.integers(1, 100_000)))
+    steps = draw(st.lists(st.floats(0.0, 5.0), min_size=r, max_size=r))
+    cost = [0.0]
+    for s in steps:
+        cost.append(cost[-1] + s)
+    return {"d": d, "k": k, "r": r, "cost": cost}
+
+
+@st.composite
+def statistics_docs(draw):
+    types = draw(st.lists(type_records(), min_size=1, max_size=4,
+                          unique_by=lambda t: (t["d"], t["k"], t["r"], tuple(t["cost"]))))
+    # near-degenerate masses: weights spanning 16 orders of magnitude
+    weights = draw(st.lists(st.one_of(st.floats(1e-16, 1.0), st.just(0.0)),
+                            min_size=len(types), max_size=len(types)))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    total = sum(weights)
+    for rec, w in zip(types, weights):
+        rec["mass"] = w / total
+    # now and then a mass that is not a finite number
+    types[-1]["mass"] = draw(st.sampled_from([types[-1]["mass"]] * 8
+                                             + [math.nan, math.inf]))
+    return {"n": draw(st.one_of(st.none(), st.integers(1, 10**6))), "types": types}
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(doc=statistics_docs(), delta=st.sampled_from(["0.01", "0.05", "0.3"]))
+def test_plan_never_raises(doc, delta):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "statistics.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["plan", "--statistics", path, "--eps", "0.3",
+                       "--grid-n", "10", "--delta", delta,
+                       "--out", os.path.join(tmp, "out")])
+    assert rc in (EXIT_OK, EXIT_PLAN)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert (rc == EXIT_OK) == (err.getvalue() == "")

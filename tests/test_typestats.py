@@ -25,6 +25,8 @@ def test_agent_type_validation():
         AgentType(2, 3, 2, (0.0, 2.0, 1.0))             # decreasing
     with pytest.raises(StatsError):
         AgentType(2, 3, 1, (0.0,))                      # wrong length
+    with pytest.raises(StatsError):
+        AgentType(2, 3, 1, (0.0, float("nan")))         # not finite
 
 
 def test_statistics_validation():
@@ -33,6 +35,8 @@ def test_statistics_validation():
         Statistics({w: 0.5})
     with pytest.raises(StatsError):
         Statistics({})
+    with pytest.raises(StatsError):
+        Statistics({w: float("nan")})
 
 
 def test_extract_homogeneous():
