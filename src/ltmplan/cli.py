@@ -63,9 +63,17 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _load_stats_doc(path):
+def _read_json(path):
+    """The JSON document in path; a malformed one is a ValueError naming it."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from exc
+
+
+def _load_stats_doc(path):
+    doc = _read_json(path)
     return statistics_from_records(doc["types"], n=doc.get("n"))
 
 
@@ -165,8 +173,7 @@ def _realize_and_compare(g, assignment, rho, p0, xi, seed, csv_path):
 
 def cmd_validate(args):
     p0 = _load_stats_doc(args.statistics)
-    with open(args.plan) as fh:
-        plan_doc = json.load(fh)
+    plan_doc = _read_json(args.plan)
     xi = intervention_from_records(plan_doc["xi"]).validate_against(p0, tol=1e-9)
     os.makedirs(args.out, exist_ok=True)
     if args.edges:
@@ -209,10 +216,11 @@ def cmd_experiment(args):
         inst_dir = os.path.join(args.out, "instance%02d" % inst)
         os.makedirs(inst_dir, exist_ok=True)
         args.stage = EXIT_STATS
-        rho, p0, assignment = _statistics(
-            g, args, None if args.seed is None else args.seed + inst)
+        # without --seed the thresholds are drawn unseeded: recorded as null
+        seed = None if args.seed is None else args.seed + inst
+        rho, p0, assignment = _statistics(g, args, seed)
         config = _write_statistics(os.path.join(inst_dir, "statistics.json"),
-                                   g, p0, args, base_seed + inst, instance=inst)
+                                   g, p0, args, seed, instance=inst)
         args.stage = EXIT_PLAN
         result = _run_plan(p0, args)
         doc = result.to_dict()

@@ -2,13 +2,24 @@
 
 Networks are drawn by pairing out-stubs with in-stubs through a uniform
 random permutation, rejecting and redrawing whole permutations until none of
-the pairings is a self-loop.  Per-edge repair is deliberately not used: it
-would bias the law away from the uniform conditional distribution.
+the pairings is a self-loop.  That is exact rejection: the accepted wiring
+is uniform over the self-loop-free pairings, and a pairing is accepted with
+probability about exp(-<dk>/<d>).  Per-edge repair is deliberately not used:
+it would bias the law away from the uniform conditional distribution.
+
+Attempts run concurrently, a batch at a time, on one thread per CPU this
+process may use; numpy releases the interpreter lock for the shuffle and the
+loop check.  Attempt j draws from child j of the seed's generator
+(`Generator.spawn`), and the lowest-index loop-free attempt is accepted, so
+the wiring depends only on the seed, never on the number of threads.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +28,8 @@ from .graph import MultiGraph, ltm_trajectory
 from .meanfield import recursion
 from .typestats import (Statistics, StatIntervention, check_well_posed,
                         post_statistics)
+
+log = logging.getLogger(__name__)
 
 
 class SamplerError(RuntimeError):
@@ -82,15 +95,36 @@ def _type_counts(p: Statistics, n: int, rng) -> dict:
     return {w: int(c) for w, c in zip(types, ints) if c > 0}
 
 
+def _expected_loops(p: Statistics) -> float:
+    # a uniform pairing joins sum_i d_i k_i / (n <d>) = <dk>/<d> stub pairs
+    # of the same node on average, Poisson in the large-n limit
+    return p.moment("dk") / p.moment("d")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        return os.cpu_count() or 1
+
+
 def sample_configuration_model(p: Statistics, n: int, seed=None,
                                max_retries: int = 1000):
     """Draw a network with n nodes and type statistics p.
 
     Out-stubs (node repeated by out-degree) are matched to in-stubs (node
     repeated by in-degree) by a uniform permutation, redrawn until no stub
-    pairing joins a node to itself.  Returns (graph, thresholds, per-node
-    types, SampleInfo).
+    pairing joins a node to itself.  Attempt j (1-based, at most
+    max_retries) shuffles with child j of `Generator.spawn`; the first
+    loop-free attempt is accepted and `SampleInfo.attempts` is its index.
+    Returns (graph, thresholds, per-node types, SampleInfo).
     """
+    if isinstance(seed, np.random.SeedSequence):
+        # spawning advances a SeedSequence; spawn from a copy so that the
+        # same seed draws the same network on every call
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
     rng = np.random.default_rng(seed)
     counts = _type_counts(p, n, rng)
     report = check_well_posed(n, p)
@@ -108,20 +142,32 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
                            % (int(kappa.sum()), int(delta.sum())))
     tails = np.repeat(np.arange(len(node_types)), kappa)
     heads_base = np.repeat(np.arange(len(node_types)), delta)
-    # a uniform pairing joins sum_i d_i k_i / (n <d>) = <dk>/<d> stub pairs
-    # of the same node on average, Poisson in the large-n limit
-    loops = p.moment("dk") / p.moment("d")
-    for attempt in range(1, max_retries + 1):
-        perm = rng.permutation(heads_base.size)
-        heads = heads_base[perm]
-        if not np.any(tails == heads):
-            g = MultiGraph(len(node_types), tails, heads)
-            info = SampleInfo(attempt, p.nu(), math.exp(-loops))
-            return g, rho, node_types, info
+    loops = _expected_loops(p)
+    acceptance = math.exp(-loops)
+
+    def draw(stream):
+        heads = stream.permutation(heads_base)
+        return None if np.any(tails == heads) else heads
+
+    workers = _cpu_count()
+    with ThreadPoolExecutor(workers) as pool:
+        tried = 0
+        while tried < max_retries:
+            batch = min(workers, max_retries - tried)
+            drawn = list(pool.map(draw, rng.spawn(batch)))
+            for attempt, heads in enumerate(drawn, tried + 1):
+                if heads is not None:
+                    log.debug("accepted attempt %d, predicted acceptance "
+                              "exp(-<dk>/<d>) = %.4g, %d workers",
+                              attempt, acceptance, workers)
+                    g = MultiGraph(len(node_types), tails, heads)
+                    info = SampleInfo(attempt, p.nu(), acceptance)
+                    return g, rho, node_types, info
+            tried += batch
     raise SamplerError(
         "no self-loop-free wiring found in %d draws; asymptotic acceptance is "
         "exp(-<dk>/<d>) = %.3g with <dk>/<d> = %.3g, consider a larger retry "
-        "budget" % (max_retries, math.exp(-loops), loops))
+        "budget" % (max_retries, acceptance, loops))
 
 
 def realize_intervention(g: MultiGraph, assignment, rho, xi: StatIntervention,
@@ -181,6 +227,8 @@ class McReport:
     recursion_trajectory: list
     nu: float
     mean_attempts: float
+    attempts: list                # accepted attempt index per replicate
+    predicted_acceptance: float   # exp(-<dk>/<d>) of the sampled statistics
     seed: object = None
 
     def to_dict(self):
@@ -192,6 +240,8 @@ class McReport:
             "sup_dev_z": self.sup_dev_z,
             "nu": self.nu,
             "mean_attempts": self.mean_attempts,
+            "attempts": list(self.attempts),
+            "predicted_acceptance": self.predicted_acceptance,
             "seed": self.seed,
         }
 
@@ -243,5 +293,7 @@ def monte_carlo_validate(p0: Statistics, xi: StatIntervention, n: int,
         recursion_trajectory=list(zip(rec_z, rec_y)),
         nu=p_post.nu(),
         mean_attempts=float(np.mean(attempts)) if attempts else 0.0,
+        attempts=attempts,
+        predicted_acceptance=math.exp(-_expected_loops(p_post)),
         seed=seed,
     )

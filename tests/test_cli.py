@@ -9,6 +9,11 @@ from ltmplan.cli import (EXIT_OK, EXIT_PLAN, EXIT_STATS, EXIT_USAGE,
 DATA = os.path.join(os.path.dirname(__file__), "data", "toy_network.txt")
 
 
+def config_of(path):
+    with open(path) as fh:
+        return json.load(fh)["config"]
+
+
 def run_stats(tmp_path, extra=()):
     out = str(tmp_path / "stats")
     rc = main(["stats", "--edges", DATA, "--undirected", "--out", out,
@@ -99,6 +104,22 @@ def test_experiment(tmp_path):
         d = os.path.join(out, "instance%02d" % inst)
         for name in ("statistics.json", "plan.json", "trajectory.csv"):
             assert os.path.exists(os.path.join(d, name))
+        assert config_of(os.path.join(d, "plan.json"))["seed"] == 5 + inst
+
+
+def test_experiment_unseeded_records_null_seed(tmp_path):
+    # without --seed the thresholds are drawn unseeded, so no seed may be
+    # recorded as if it reproduced them
+    out = str(tmp_path / "exp")
+    rc = main(["experiment", "--edges", DATA, "--undirected",
+               "--threshold-rule", "uniform-random", "--instances", "2",
+               "--eps", "0.3", "--grid-n", "50", "--out", out])
+    assert rc == EXIT_OK
+    for inst in range(2):
+        d = os.path.join(out, "instance%02d" % inst)
+        for name in ("statistics.json", "plan.json"):
+            config = config_of(os.path.join(d, name))
+            assert config["seed"] is None and config["instance"] == inst
 
 
 def test_experiment_preset_fills_defaults(monkeypatch):
@@ -158,6 +179,7 @@ def test_exit_code_plan_error(tmp_path):
 def assert_one_line(capsys, prefix):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
 
 
 def test_exit_code_plan_input_errors(tmp_path, capsys):
@@ -167,6 +189,17 @@ def test_exit_code_plan_input_errors(tmp_path, capsys):
         rc = main(["plan", "--statistics", path, "--out", str(tmp_path / "x")])
         assert rc == EXIT_PLAN
         assert_one_line(capsys, "input error:")
+
+
+def test_exit_code_validate_malformed_plan(tmp_path, capsys):
+    stats = run_stats(tmp_path)
+    bad = tmp_path / "plan.json"
+    bad.write_text("{not json")
+    capsys.readouterr()
+    rc = main(["validate", "--statistics", stats, "--plan", str(bad),
+               "--out", str(tmp_path / "x")])
+    assert rc == EXIT_VALIDATE
+    assert str(bad) in assert_one_line(capsys, "input error:")
 
 
 def test_exit_code_validate_mismatch(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import collections
+import itertools
 import json
+import logging
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from conftest import lin
 from ltmplan.sampler import (SamplerError, _largest_remainder,
@@ -75,6 +80,67 @@ def test_sample_is_reproducible():
     assert np.array_equal(g1.heads, g2.heads)
     g3, _, _, _ = sample_configuration_model(p, 60, seed=10)
     assert not np.array_equal(g1.heads, g3.heads)
+    # attempts spawn child streams; a SeedSequence seed is not advanced
+    ss = np.random.SeedSequence(9)
+    g4, _, _, _ = sample_configuration_model(p, 60, seed=ss)
+    g5, _, _, _ = sample_configuration_model(p, 60, seed=ss)
+    assert np.array_equal(g4.heads, g5.heads)
+
+
+def test_sample_does_not_depend_on_worker_count(monkeypatch, caplog):
+    # d = k = 3 accepts about one pairing in e^3.  Seed 1 needs 45 attempts;
+    # seed 35 needs 5, and attempt 7 of the same batch of 4 is loop-free too
+    p = Statistics({AgentType(3, 3, 1, lin(1)): 1.0})
+    caplog.set_level(logging.DEBUG, logger="ltmplan.sampler")
+    for seed in (35, 1):
+        runs = []
+        for workers in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, w=workers: set(range(w)), raising=False)
+            caplog.clear()
+            runs.append(sample_configuration_model(p, 200, seed=seed))
+            assert "%d workers" % workers in caplog.text
+            attempts = runs[-1][3].attempts
+            with pytest.raises(SamplerError, match="in %d draws" % (attempts - 1)):
+                sample_configuration_model(p, 200, seed=seed,
+                                           max_retries=attempts - 1)
+        (g1, rho1, types1, info1), (g4, rho4, types4, info4) = runs
+        assert info1.attempts == info4.attempts > 4
+        assert np.array_equal(g1.tails, g4.tails)
+        assert np.array_equal(g1.heads, g4.heads)
+        assert np.array_equal(rho1, rho4) and types1 == types4
+
+
+def test_sample_is_uniform_over_loop_free_pairings():
+    # two nodes of (d, k) = (2, 1) and two of (1, 2): of the 720 permutations
+    # of the 6 in-stubs, 176 are loop-free and give 16 distinct edge
+    # multisets with unequal probabilities; the sampler must draw them in
+    # exactly those proportions
+    p = Statistics({AgentType(2, 1, 1, lin(1)): 0.5,
+                    AgentType(1, 2, 1, lin(1)): 0.5})
+    _, _, node_types, _ = sample_configuration_model(p, 4, seed=0)
+    tails = np.repeat(np.arange(4), [w.k for w in node_types])
+    heads_base = np.repeat(np.arange(4), [w.d for w in node_types])
+
+    def multiset(tails, heads):
+        return tuple(sorted(zip(tails.tolist(), heads.tolist())))
+
+    law = collections.Counter()
+    for perm in itertools.permutations(range(heads_base.size)):
+        heads = heads_base[list(perm)]
+        if not np.any(tails == heads):
+            law[multiset(tails, heads)] += 1
+    assert sum(law.values()) == 176 and len(law) == 16
+    draws = 2000
+    seen = collections.Counter()
+    for s in range(draws):
+        g, _, _, _ = sample_configuration_model(p, 4, seed=s)
+        seen[multiset(g.tails, g.heads)] += 1
+    assert set(seen) <= set(law)
+    keys = sorted(law)
+    expected = [draws * law[k] / 176 for k in keys]
+    _, pvalue = chisquare([seen[k] for k in keys], expected)
+    assert pvalue > 1e-3
 
 
 def test_sample_rejects_unbalanced_statistics():
@@ -139,8 +205,11 @@ def test_monte_carlo_tracks_recursion():
     assert rep.success_rate == 1.0
     assert rep.sup_dev_y < 0.02 and rep.sup_dev_z < 0.02
     assert np.all(rep.final_fractions > 0.99)
-    doc = json.dumps(rep.to_dict())
-    assert json.loads(doc)["success_rate"] == 1.0
+    doc = json.loads(json.dumps(rep.to_dict()))
+    assert doc["success_rate"] == 1.0
+    assert len(doc["attempts"]) == 3 and min(doc["attempts"]) >= 1
+    assert doc["mean_attempts"] == pytest.approx(np.mean(doc["attempts"]))
+    assert doc["predicted_acceptance"] == pytest.approx(math.exp(-3.0))
 
 
 def test_monte_carlo_detects_failure():
