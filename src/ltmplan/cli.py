@@ -63,17 +63,22 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _read_json(path):
-    """The JSON document in path; a malformed one is a ValueError naming it."""
+def _read_json(path, *keys):
+    """The JSON object in path, holding at least `keys`; a malformed one is a
+    ValueError naming it."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError("%s: %s" % (path, exc)) from exc
+    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise ValueError("%s: missing key %r" % (path, missing[0]))
+    return doc
 
 
 def _load_stats_doc(path):
-    doc = _read_json(path)
+    doc = _read_json(path, "types")
     return statistics_from_records(doc["types"], n=doc.get("n"))
 
 
@@ -106,12 +111,13 @@ def _network(args):
 
 
 def _statistics(g, args, seed):
-    """Thresholds drawn with `seed`, then the type statistics of g."""
+    """Thresholds drawn with `seed`, then the type statistics of g and each
+    node's type code into them."""
     rho = threshold_rule(args.threshold_rule, seed=seed)(g)
     if args.clamp_thresholds:
         rho = check_thresholds(g, rho, clamp=True)
-    p0, assignment = extract_statistics(g, rho, cost_rule(args.cost_rule))
-    return rho, p0, assignment
+    p0, type_of = extract_statistics(g, rho, cost_rule(args.cost_rule))
+    return rho, p0, type_of
 
 
 def cmd_stats(args):
@@ -160,35 +166,42 @@ def _write_trajectory_csv(path, ys, zs, rec):
                      % (t, pick(ys, t), pick(zs, t), pick(rec_y, t), pick(rec_z, t)))
 
 
-def _realize_and_compare(g, assignment, rho, p0, xi, seed, csv_path):
-    """Realize xi on the concrete network, run the cascade from all-zeros,
-    and write its trajectory beside the mean-field recursion of the
-    post-intervention statistics.  Returns (per-node reductions h, Y(t))."""
-    h = realize_intervention(g, assignment, rho, xi, seed=seed)
+def _realize_and_compare(g, p, type_of, rho, xi, seed, csv_path):
+    """Realize xi on the concrete network g, whose node i has type
+    p.types()[type_of[i]], run the cascade from all-zeros, and write its
+    trajectory beside the mean-field recursion of the post-intervention
+    statistics.  Returns (per-node reductions h, Y(t))."""
+    h = realize_intervention(p, type_of, rho, xi, seed=seed)
     ys, zs, _ = cascade_fractions(g, apply_intervention(rho, h))
-    rec, _ = recursion(post_statistics(p0, xi))
+    rec, _ = recursion(post_statistics(p, xi))
     _write_trajectory_csv(csv_path, ys, zs, rec)
     return h, ys
 
 
 def cmd_validate(args):
     p0 = _load_stats_doc(args.statistics)
-    plan_doc = _read_json(args.plan)
+    plan_doc = _read_json(args.plan, "xi")
     xi = intervention_from_records(plan_doc["xi"]).validate_against(p0, tol=1e-9)
     os.makedirs(args.out, exist_ok=True)
     if args.edges:
         # realize mode: apply the plan to a concrete network
         g = _network(args)
-        rho, _, assignment = _statistics(g, args, args.seed)
+        rho, p_net, type_of = _statistics(g, args, args.seed)
+        if p_net.types() != p0.types() or np.any(np.abs(p_net.m - p0.m) > 1e-9):
+            raise StatsError("network %s does not have the type statistics of %s"
+                             % (args.edges, args.statistics))
+        # equal type tables: the network's codes index p0.types() as well
         h, ys = _realize_and_compare(
-            g, assignment, rho, p0, xi, args.seed,
+            g, p0, type_of, rho, xi, args.seed,
             os.path.join(args.out, "trajectory_realized.csv"))
+        # each node priced by its type's cost table; per node, as a plan's cost
+        tables = [w.cost for w in p0.types()]
+        start = np.cumsum([0] + [len(c) for c in tables[:-1]])
+        cost = np.concatenate(tables)[start[type_of] + h].mean()
         report = {"mode": "realize", "n": g.n, "final_fraction": float(ys[-1]),
                   "target": 1.0 - args.eps,
                   "ok": bool(ys[-1] >= 1.0 - args.eps),
-                  "realized_cost": float(sum(
-                      w.cost_at(int(h[i])) for i, w in enumerate(assignment))),
-                  "seed": args.seed}
+                  "realized_cost": float(cost), "seed": args.seed}
         _write_json(os.path.join(args.out, "validate.json"), report)
         print("realized run: final fraction %.4f (target %.4f)"
               % (ys[-1], 1.0 - args.eps))
@@ -218,7 +231,7 @@ def cmd_experiment(args):
         args.stage = EXIT_STATS
         # without --seed the thresholds are drawn unseeded: recorded as null
         seed = None if args.seed is None else args.seed + inst
-        rho, p0, assignment = _statistics(g, args, seed)
+        rho, p0, type_of = _statistics(g, args, seed)
         config = _write_statistics(os.path.join(inst_dir, "statistics.json"),
                                    g, p0, args, seed, instance=inst)
         args.stage = EXIT_PLAN
@@ -228,7 +241,7 @@ def cmd_experiment(args):
         _write_json(os.path.join(inst_dir, "plan.json"), doc)
         args.stage = EXIT_VALIDATE
         _, ys = _realize_and_compare(
-            g, assignment, rho, p0, result.xi, base_seed + 1000 + inst,
+            g, p0, type_of, rho, result.xi, base_seed + 1000 + inst,
             os.path.join(inst_dir, "trajectory.csv"))
         costs.append(result.cost)
         finals.append(float(ys[-1]))

@@ -155,25 +155,3 @@ def solve(model: LpModel, feas_tol: float = FEAS_TOL,
         return LpSolution("error", x, obj, viol, gap, iters,
                           "certification failed: violation=%g gap=%g" % (viol, gap))
     return LpSolution("optimal", x, obj, viol, gap, iters, res.message)
-
-
-def dump_model(model: LpModel, path):
-    """Write the model in CPLEX LP text format with deterministic ordering,
-    for cross-checking against external solvers."""
-    def term(c, v):
-        return "%+.17g x%d" % (c, v)
-
-    with open(path, "w") as fh:
-        fh.write("Minimize\n obj: ")
-        fh.write(" ".join(term(c, v) for v, c in enumerate(model.objective)) or "0")
-        fh.write("\nSubject To\n")
-        for j in range(model.num_rows):
-            row = " ".join(term(model.rows[j, v], v)
-                           for v in range(model.num_vars) if model.rows[j, v] != 0.0)
-            fh.write(" r%d: %s %s %.17g\n" % (j, row or "0 x0", model.senses[j],
-                                              model.rhs[j]))
-        fh.write("Bounds\n")
-        for v in range(model.num_vars):
-            hi = "+inf" if not np.isfinite(model.upper[v]) else "%.17g" % model.upper[v]
-            fh.write(" %.17g <= x%d <= %s\n" % (model.lower[v], v, hi))
-        fh.write("End\n")

@@ -49,15 +49,10 @@ class _Curves:
     with mass weights (for psi) and link weights d * mass / <p, d> (for phi)."""
 
     def __init__(self, p):
-        ws, ms = zip(*p.masses.items())
-        k = np.array([w.k for w in ws], dtype=np.int64)
-        r = np.array([w.r for w in ws], dtype=np.int64)
-        d = np.array([w.d for w in ws], dtype=float)
-        m = np.array(ms, dtype=float)
-        self.k, self.r, inverse = _distinct_pairs(k, r)
-        self.mass = np.bincount(inverse, m)
+        self.k, self.r, inverse = _distinct_pairs(p.k, p.r)
+        self.mass = np.bincount(inverse, p.m)
         mean_d = p.moment("d")
-        self._link = np.bincount(inverse, d * m) / mean_d if mean_d > 0.0 else None
+        self._link = np.bincount(inverse, p.d * p.m) / mean_d if mean_d > 0.0 else None
 
     @property
     def link(self) -> np.ndarray:

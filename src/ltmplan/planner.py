@@ -86,17 +86,17 @@ def _margins(p0: Statistics, cfg: PlannerConfig):
 
 def _variables(p0: Statistics, eta_mode: str):
     """(type, eta) columns: every positive-mass type, reductions 1..r_w
-    (seed-only keeps just eta = r_w).  Returns the types with r_w > 0 and,
-    per column, the index of its type, its eta and its cost."""
-    types = [w for w in p0.support() if w.r > 0]
-    etas = [np.arange(1, w.r + 1) if eta_mode == "full" else np.array([w.r])
-            for w in types]
-    owner = np.repeat(np.arange(len(types)),
-                      np.array([e.size for e in etas], dtype=np.int64))
+    (seed-only keeps just eta = r_w).  Returns, per column, the code of its
+    type in p0.types(), its eta and its cost."""
+    types = p0.types()
+    codes = np.flatnonzero((p0.m > 0.0) & (p0.r > 0))
+    etas = [np.arange(1, r + 1) if eta_mode == "full" else np.array([r])
+            for r in p0.r[codes].tolist()]
+    owner = np.repeat(codes, np.array([e.size for e in etas], dtype=np.int64))
     eta = np.concatenate([np.zeros(0, dtype=np.int64)] + etas)
-    cost = np.concatenate([np.zeros(0)] + [np.asarray(w.cost)[e]
-                                           for w, e in zip(types, etas)])
-    return types, owner, eta, cost
+    cost = np.concatenate([np.zeros(0)] + [np.asarray(types[c].cost)[e]
+                                           for c, e in zip(codes, etas)])
+    return owner, eta, cost
 
 
 def build_lp(p0: Statistics, cfg: PlannerConfig):
@@ -111,12 +111,13 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     delta, _ = _margins(p0, cfg)
     n_grid = cfg.grid_n
     zs = (1.0 - alpha) * np.arange(n_grid + 1) / n_grid
-    types, owner, eta, cost = _variables(p0, cfg.eta_mode)
-    dkr = np.array([(w.d, w.k, w.r) for w in types], dtype=np.int64).reshape(-1, 3)
-    coeffs = meanfield.coeff_matrix(*dkr[owner].T, eta, zs, p0.moment("d"))
+    owner, eta, cost = _variables(p0, cfg.eta_mode)
+    coeffs = meanfield.coeff_matrix(p0.d[owner], p0.k[owner], p0.r[owner], eta,
+                                    zs, p0.moment("d"))
     # a column that can never help would never be selected
     keep = np.any(coeffs > 0.0, axis=0) | (cost <= 0.0)
     owner, eta = owner[keep], eta[keep]
+    types = p0.types()
     columns = [(types[i], e) for i, e in zip(owner.tolist(), eta.tolist())]
     nv = len(columns)
     grid_rhs = zs + delta - meanfield.phi(p0, zs)
@@ -124,7 +125,7 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     used, row_of = np.unique(owner, return_inverse=True)
     budget_rows = np.zeros((used.size, nv))
     budget_rows[row_of, np.arange(nv)] = 1.0
-    budget_rhs = np.array([p0.mass(types[i]) for i in used])
+    budget_rhs = p0.m[used]
     rows = np.vstack([coeffs[:, keep], budget_rows])
     senses = (lp.GE,) * (n_grid + 1) + (lp.LE,) * used.size
     rhs = np.concatenate([grid_rhs, budget_rhs])

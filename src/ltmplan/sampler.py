@@ -88,11 +88,12 @@ class SampleInfo:
     predicted_acceptance: float   # exp(-<dk>/<d>), the law of this sampler
 
 
-def _type_counts(p: Statistics, n: int, rng) -> dict:
-    types = sorted(p.support())
-    targets = np.array([n * p.mass(w) for w in types])
-    ints = _largest_remainder(targets, n, rng)
-    return {w: int(c) for w, c in zip(types, ints) if c > 0}
+def _type_counts(p: Statistics, n: int, rng) -> np.ndarray:
+    """Node count per entry of p.types(), rounded over the support only."""
+    support = p.m > 0.0
+    counts = np.zeros(p.m.size, dtype=np.int64)
+    counts[support] = _largest_remainder(n * p.m[support], n, rng)
+    return counts
 
 
 def _expected_loops(p: Statistics) -> float:
@@ -118,7 +119,8 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     pairing joins a node to itself.  Attempt j (1-based, at most
     max_retries) shuffles with child j of `Generator.spawn`; the first
     loop-free attempt is accepted and `SampleInfo.attempts` is its index.
-    Returns (graph, thresholds, per-node types, SampleInfo).
+    Returns (graph, thresholds, per-node type codes into p.types(),
+    SampleInfo).
     """
     if isinstance(seed, np.random.SeedSequence):
         # spawning advances a SeedSequence; spawn from a copy so that the
@@ -130,18 +132,13 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     report = check_well_posed(n, p)
     if not report.moment_balance or not report.degree_bound:
         raise SamplerError("statistics not realizable on %d nodes: %s" % (n, report))
-    types = sorted(counts)
-    node_types = []
-    for w in types:
-        node_types.extend([w] * counts[w])
-    kappa = np.array([w.k for w in node_types], dtype=np.int64)
-    delta = np.array([w.d for w in node_types], dtype=np.int64)
-    rho = np.array([w.r for w in node_types], dtype=np.int64)
+    type_of = np.repeat(np.arange(counts.size), counts)
+    kappa, delta, rho = p.k[type_of], p.d[type_of], p.r[type_of]
     if int(kappa.sum()) != int(delta.sum()):
         raise SamplerError("stub imbalance after rounding: %d out vs %d in"
                            % (int(kappa.sum()), int(delta.sum())))
-    tails = np.repeat(np.arange(len(node_types)), kappa)
-    heads_base = np.repeat(np.arange(len(node_types)), delta)
+    tails = np.repeat(np.arange(type_of.size), kappa)
+    heads_base = np.repeat(np.arange(type_of.size), delta)
     loops = _expected_loops(p)
     acceptance = math.exp(-loops)
 
@@ -160,9 +157,9 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
                     log.debug("accepted attempt %d, predicted acceptance "
                               "exp(-<dk>/<d>) = %.4g, %d workers",
                               attempt, acceptance, workers)
-                    g = MultiGraph(len(node_types), tails, heads)
+                    g = MultiGraph(type_of.size, tails, heads)
                     info = SampleInfo(attempt, p.nu(), acceptance)
-                    return g, rho, node_types, info
+                    return g, rho, type_of, info
             tried += batch
     raise SamplerError(
         "no self-loop-free wiring found in %d draws; asymptotic acceptance is "
@@ -170,31 +167,34 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
         "budget" % (max_retries, acceptance, loops))
 
 
-def realize_intervention(g: MultiGraph, assignment, rho, xi: StatIntervention,
+def realize_intervention(p: Statistics, type_of, rho, xi: StatIntervention,
                          seed=None) -> np.ndarray:
     """Turn a statistical intervention into per-node threshold reductions on a
-    concrete network: for each (type, eta) count, pick that many nodes of the
-    type uniformly without replacement and reduce them by eta."""
+    concrete network whose node i has type p.types()[type_of[i]].
+
+    xi is rounded to node counts per (type, eta) on len(type_of) nodes; for
+    each count with eta >= 1, in (type, eta) order, that many nodes of the
+    type not yet picked are drawn uniformly without replacement and reduced
+    by eta.  Returns the per-node reductions h.
+    """
     rng = np.random.default_rng(seed)
-    counts = round_intervention(xi, g.n, seed=rng)
-    nodes_by_type: dict = {}
-    for i, w in enumerate(assignment):
-        nodes_by_type.setdefault(w, []).append(i)
-    h = np.zeros(g.n, dtype=np.int64)
-    picked: dict = {}
+    type_of = np.asarray(type_of)
+    counts = round_intervention(xi, type_of.size, seed=rng)
+    code = {w: i for i, w in enumerate(p.types())}
+    h = np.zeros(type_of.size, dtype=np.int64)
+    pools: dict = {}
     for (w, eta), c in sorted(counts.items()):
         if eta == 0:
             continue
-        pool = picked.setdefault(w, list(nodes_by_type.get(w, [])))
-        if c > len(pool):
+        pool = pools.get(w)
+        if pool is None:
+            pool = np.flatnonzero(type_of == code.get(w, -1))
+        if c > pool.size:
             raise SamplerError("intervention asks for %d nodes of type %s, "
-                               "only %d available" % (c, w, len(pool)))
-        chosen = rng.choice(len(pool), size=c, replace=False)
-        chosen_nodes = [pool[j] for j in chosen]
-        for node in chosen_nodes:
-            h[node] = eta
-        remaining = set(chosen)
-        picked[w] = [v for j, v in enumerate(pool) if j not in remaining]
+                               "only %d available" % (c, w, pool.size))
+        chosen = rng.choice(pool.size, size=c, replace=False)
+        h[pool[chosen]] = eta
+        pools[w] = np.delete(pool, chosen)
     rho = np.asarray(rho, dtype=np.int64)
     if np.any(h > rho):
         raise SamplerError("realized intervention exceeds thresholds")

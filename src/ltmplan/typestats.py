@@ -1,16 +1,19 @@
 """Agent types, empirical statistics and statistical interventions.
 
 A type bundles in-degree, out-degree, threshold and the threshold-reduction
-cost table of an agent.  Statistics are the empirical distribution of types;
-a statistical intervention moves per-type mass to lower-threshold copies of
-the same type.
+cost table of an agent.  Statistics are the empirical distribution of types,
+held as one sorted type table: `types()` and the aligned read-only arrays
+`d`, `k`, `r` and `m` (the masses), built once per `Statistics`.  A node of
+a concrete network carries its type as an integer code into that table, so
+per-node work is array indexing.  A statistical intervention moves per-type
+mass to lower-threshold copies of the same type.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +65,17 @@ class AgentType:
         return AgentType(self.d, self.k, self.r - eta, self.cost[: self.r - eta + 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Statistics:
     """Probability distribution over agent types.
 
     When extracted from a concrete graph, exact integer counts and n are kept
     alongside the float masses so integrality checks do not suffer drift.
+    Equality is identity: compare type tables and masses explicitly.
     """
 
-    masses: dict = field(compare=False)
-    counts: dict | None = field(default=None, compare=False)
+    masses: dict
+    counts: dict | None = None
     n: int | None = None
 
     def __post_init__(self):
@@ -91,30 +95,34 @@ class Statistics:
                 raise StatsError("counts given without n")
             if sum(self.counts.values()) != self.n:
                 raise StatsError("type counts do not sum to n")
+        # the type table: sorted types and aligned degree, threshold and
+        # mass arrays; a type's code is its index here
+        types = tuple(sorted(masses))
+        table = {name: np.array([getattr(w, name) for w in types], dtype=np.int64)
+                 for name in ("d", "k", "r")}
+        table["m"] = np.array([masses[w] for w in types])
+        for name, array in table.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "_types", types)
 
     def types(self):
-        return sorted(self.masses)
+        return list(self._types)
 
     def mass(self, w: AgentType) -> float:
         return self.masses.get(w, 0.0)
 
     def support(self):
-        return [w for w in self.types() if self.masses[w] > 0.0]
+        return [self._types[i] for i in np.flatnonzero(self.m > 0.0)]
 
     def moment(self, which: str) -> float:
         """<p, f> for f in {d, k, d2, k2, dk}."""
-        funcs = {
-            "d": lambda w: w.d,
-            "k": lambda w: w.k,
-            "d2": lambda w: w.d * w.d,
-            "k2": lambda w: w.k * w.k,
-            "dk": lambda w: w.d * w.k,
-        }
         try:
-            f = funcs[which]
+            factors = {"d": "d", "k": "k", "d2": "dd", "k2": "kk", "dk": "dk"}[which]
         except KeyError:
             raise StatsError("unknown moment %r (use d, k, d2, k2, dk)" % which)
-        return math.fsum(m * f(w) for w, m in self.masses.items())
+        f = np.prod([getattr(self, name) for name in factors], axis=0)
+        return math.fsum((self.m * f).tolist())
 
     def nu(self) -> float:
         """<p, dk>/<p, d> - 1, the excess-degree parameter.  The directed
@@ -123,13 +131,13 @@ class Statistics:
         return self.moment("dk") / self.moment("d") - 1.0
 
     def d_min(self) -> int:
-        return min(w.d for w in self.support())
+        return int(self.d[self.m > 0.0].min())
 
     def d_max(self) -> int:
-        return max(w.d for w in self.support())
+        return int(self.d[self.m > 0.0].max())
 
     def k_max(self) -> int:
-        return max(w.k for w in self.support())
+        return int(self.k[self.m > 0.0].max())
 
 
 class StatIntervention:
@@ -265,26 +273,22 @@ def threshold_rule(name: str, seed=None):
 
 
 def extract_statistics(g, rho, cost_fn):
-    """Group nodes by (in-degree, out-degree, threshold, cost table).
+    """Group nodes by (in-degree, out-degree, threshold); the cost table is
+    cost_fn of those three.
 
-    Returns (Statistics with exact counts, per-node list of AgentType).
+    Returns (Statistics with exact counts, per-node type codes into its
+    `types()`).
     """
-    delta = g.in_degrees
-    kappa = g.out_degrees
-    rho = np.asarray(rho, dtype=np.int64)
-    cache: dict[tuple, AgentType] = {}
-    assignment = []
-    counts: dict[AgentType, int] = {}
-    for i in range(g.n):
-        key = (int(delta[i]), int(kappa[i]), int(rho[i]))
-        w = cache.get(key)
-        if w is None:
-            w = AgentType(key[0], key[1], key[2], cost_fn(*key))
-            cache[key] = w
-        assignment.append(w)
-        counts[w] = counts.get(w, 0) + 1
+    keys = np.column_stack([g.in_degrees, g.out_degrees,
+                            np.asarray(rho, dtype=np.int64)])
+    dkr, type_of, counts = np.unique(keys, axis=0, return_inverse=True,
+                                     return_counts=True)
+    # lexicographic (d, k, r) order is the sorted type order, since the cost
+    # table is a function of (d, k, r)
+    types = [AgentType(d, k, r, cost_fn(d, k, r)) for d, k, r in dkr.tolist()]
+    counts = dict(zip(types, counts.tolist()))
     masses = {w: c / g.n for w, c in counts.items()}
-    return Statistics(masses, counts=counts, n=g.n), assignment
+    return Statistics(masses, counts=counts, n=g.n), type_of.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +311,11 @@ def check_well_posed(n: int, p: Statistics) -> WellPosedReport:
     total out-degree, and no single node demanding more stubs than exist."""
     if n < 1:
         raise StatsError("n must be >= 1")
-    integer_ok = all(abs(n * m - round(n * m)) <= 1e-9 for m in p.masses.values())
+    integer_ok = bool(np.all(np.abs(n * p.m - np.round(n * p.m)) <= 1e-9))
     mean_d = p.moment("d")
     mean_k = p.moment("k")
     balance_ok = abs(mean_d - mean_k) <= 1e-12 * max(1.0, mean_d)
-    degree_ok = all(w.d + w.k <= n * mean_d + 1e-9 for w in p.support())
+    degree_ok = bool(np.all((p.d + p.k)[p.m > 0.0] <= n * mean_d + 1e-9))
     return WellPosedReport(integer_ok, balance_ok, degree_ok)
 
 
@@ -320,7 +324,7 @@ def check_well_posed(n: int, p: Statistics) -> WellPosedReport:
 
 def statistics_to_records(p: Statistics):
     return [{"d": w.d, "k": w.k, "r": w.r, "cost": list(w.cost), "mass": m}
-            for w, m in sorted(p.masses.items())]
+            for w, m in zip(p.types(), p.m.tolist())]
 
 
 def statistics_from_records(records, n=None):

@@ -88,6 +88,27 @@ def test_validate_realize(tmp_path):
     assert doc["mode"] == "realize" and doc["n"] == 20
     assert 0.0 <= doc["final_fraction"] <= 1.0
     assert os.path.exists(os.path.join(out, "trajectory_realized.csv"))
+    # realized_cost is per node, like the plan's cost; they differ only by
+    # rounding each (type, eta) mass to whole nodes, under one node each
+    plan_doc = json.load(open(plan_path))
+    slack = sum(rec["cost"][rec["eta"]] for rec in plan_doc["xi"]) / doc["n"]
+    assert plan_doc["cost"] > 0.0
+    assert abs(doc["realized_cost"] - plan_doc["cost"]) <= slack
+
+
+def test_validate_realize_checks_network_statistics(tmp_path, capsys):
+    # thresholds drawn with another seed give the network other type masses
+    rule = ["--threshold-rule", "uniform-random"]
+    stats = run_stats(tmp_path, rule + ["--seed", "1"])
+    plan_path = run_plan(tmp_path, stats)
+    common = ["validate", "--statistics", stats, "--plan", plan_path,
+              "--eps", "0.1", "--edges", DATA, "--undirected", *rule,
+              "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(common + ["--seed", "2"]) == EXIT_VALIDATE
+    err = assert_one_line(capsys, "statistics error:")
+    assert DATA in err and stats in err
+    assert main(common + ["--seed", "1"]) == EXIT_OK
 
 
 def test_experiment(tmp_path):
@@ -185,21 +206,24 @@ def assert_one_line(capsys, prefix):
 def test_exit_code_plan_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    for path in (str(tmp_path / "missing.json"), str(bad)):
+    keyless = tmp_path / "keyless.json"
+    keyless.write_text('{"n": 3}')
+    for path in (str(tmp_path / "missing.json"), str(bad), str(keyless)):
         rc = main(["plan", "--statistics", path, "--out", str(tmp_path / "x")])
         assert rc == EXIT_PLAN
-        assert_one_line(capsys, "input error:")
+        assert path in assert_one_line(capsys, "input error:")
 
 
 def test_exit_code_validate_malformed_plan(tmp_path, capsys):
     stats = run_stats(tmp_path)
     bad = tmp_path / "plan.json"
-    bad.write_text("{not json")
-    capsys.readouterr()
-    rc = main(["validate", "--statistics", stats, "--plan", str(bad),
-               "--out", str(tmp_path / "x")])
-    assert rc == EXIT_VALIDATE
-    assert str(bad) in assert_one_line(capsys, "input error:")
+    for text in ("{not json", '{"cost": 1}'):
+        bad.write_text(text)
+        capsys.readouterr()
+        rc = main(["validate", "--statistics", stats, "--plan", str(bad),
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_VALIDATE
+        assert str(bad) in assert_one_line(capsys, "input error:")
 
 
 def test_exit_code_validate_mismatch(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lp_oracle import random_model, vertex_enumerate
-from ltmplan.lp import GE, LE, LpModel, check_solution, dump_model, solve
+from ltmplan.lp import GE, LE, LpModel, check_solution, solve
 
 
 def small_model():
@@ -96,12 +96,3 @@ def test_solve_matches_vertex_oracle():
             infeasible += 1
     # both branches must actually be exercised
     assert optimal >= 20 and infeasible >= 20
-
-
-def test_dump_model(tmp_path):
-    path = tmp_path / "model.lp"
-    dump_model(small_model(), path)
-    text = path.read_text()
-    assert text.startswith("Minimize")
-    assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
-    assert ">= 1" in text and "<= 0.6" in text.replace("0.59999999999999998", "0.6")

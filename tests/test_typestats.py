@@ -39,16 +39,28 @@ def test_statistics_validation():
         Statistics({w: float("nan")})
 
 
+def test_type_table():
+    w1, w2 = AgentType(1, 2, 1, lin(1)), AgentType(3, 1, 0, (0.0,))
+    p = Statistics({w2: 0.75, w1: 0.25})
+    assert p.types() == [w1, w2]
+    assert (p.d.tolist(), p.k.tolist(), p.r.tolist()) == ([1, 3], [2, 1], [1, 0])
+    assert p.m.tolist() == [0.25, 0.75]
+    with pytest.raises(ValueError):
+        p.m[0] = 0.5
+    # equality is identity: two distributions with the same n are not equal
+    assert p != Statistics({w1: 0.5, w2: 0.5}) and p == p
+
+
 def test_extract_homogeneous():
     # 4-cycle doubled in both directions: every node d = k = 2
     tails = np.array([0, 1, 1, 2, 2, 3, 3, 0])
     heads = np.array([1, 0, 2, 1, 3, 2, 0, 3])
     g = MultiGraph(4, tails, heads)
-    p0, assignment = extract_statistics(g, np.ones(4, dtype=int), cost_rule("linear"))
+    p0, type_of = extract_statistics(g, np.ones(4, dtype=int), cost_rule("linear"))
     assert len(p0.masses) == 1
     (w, m), = p0.masses.items()
     assert (w.d, w.k, w.r) == (2, 2, 1) and m == 1.0
-    assert all(a == w for a in assignment)
+    assert all(p0.types()[a] == w for a in type_of)
 
 
 def test_extract_path(path3):
@@ -57,6 +69,25 @@ def test_extract_path(path3):
     assert by_key == {(1, 1, 1): pytest.approx(2 / 3), (2, 2, 2): pytest.approx(1 / 3)}
     assert p0.counts[AgentType(1, 1, 1, lin(1))] == 2
     assert math.fsum(p0.masses.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_extract_matches_per_node_grouping():
+    # extraction groups nodes with one np.unique; a per-node loop is the
+    # reference for the codes, the counts and the masses
+    rng = np.random.default_rng(8)
+    tails, heads = rng.integers(0, 30, 120), rng.integers(0, 30, 120)
+    loop = tails == heads
+    g = MultiGraph(30, tails[~loop], heads[~loop])
+    rho = rng.integers(0, g.out_degrees + 1)
+    p0, type_of = extract_statistics(g, rho, cost_rule("seeding"))
+    counts = {}
+    for i in range(g.n):
+        w = p0.types()[type_of[i]]
+        assert (w.d, w.k, w.r) == (g.in_degrees[i], g.out_degrees[i], rho[i])
+        assert w.cost == cost_rule("seeding")(w.d, w.k, w.r)
+        counts[w] = counts.get(w, 0) + 1
+    assert p0.counts == counts
+    assert p0.masses == {w: c / g.n for w, c in counts.items()}
 
 
 def test_null_intervention():
