@@ -144,8 +144,7 @@ def cmd_plan(args):
     doc["config"]["statistics"] = args.statistics
     _write_json(os.path.join(args.out, "plan.json"), doc)
     dump_curves(p0, os.path.join(args.out, "curves_baseline.csv"))
-    dump_curves(post_statistics(p0, result.xi),
-                os.path.join(args.out, "curves_planned.csv"))
+    dump_curves(result.post, os.path.join(args.out, "curves_planned.csv"))
     print("plan cost %.6g [%s], original-constraint margin %.4g"
           % (result.cost, doc["regime"], result.original_audit.margin))
     return EXIT_OK
@@ -166,14 +165,14 @@ def _write_trajectory_csv(path, ys, zs, rec):
                      % (t, pick(ys, t), pick(zs, t), pick(rec_y, t), pick(rec_z, t)))
 
 
-def _realize_and_compare(g, p, type_of, rho, xi, seed, csv_path):
+def _realize_and_compare(g, p, type_of, rho, xi, p_post, seed, csv_path):
     """Realize xi on the concrete network g, whose node i has type
     p.types()[type_of[i]], run the cascade from all-zeros, and write its
     trajectory beside the mean-field recursion of the post-intervention
-    statistics.  Returns (per-node reductions h, Y(t))."""
+    statistics p_post.  Returns (per-node reductions h, Y(t))."""
     h = realize_intervention(p, type_of, rho, xi, seed=seed)
     ys, zs, _ = cascade_fractions(g, apply_intervention(rho, h))
-    rec, _ = recursion(post_statistics(p, xi))
+    rec, _ = recursion(p_post)
     _write_trajectory_csv(csv_path, ys, zs, rec)
     return h, ys
 
@@ -192,7 +191,7 @@ def cmd_validate(args):
                              % (args.edges, args.statistics))
         # equal type tables: the network's codes index p0.types() as well
         h, ys = _realize_and_compare(
-            g, p0, type_of, rho, xi, args.seed,
+            g, p0, type_of, rho, xi, post_statistics(p0, xi), args.seed,
             os.path.join(args.out, "trajectory_realized.csv"))
         # each node priced by its type's cost table; per node, as a plan's cost
         tables = [w.cost for w in p0.types()]
@@ -241,7 +240,7 @@ def cmd_experiment(args):
         _write_json(os.path.join(inst_dir, "plan.json"), doc)
         args.stage = EXIT_VALIDATE
         _, ys = _realize_and_compare(
-            g, p0, type_of, rho, result.xi, base_seed + 1000 + inst,
+            g, p0, type_of, rho, result.xi, result.post, base_seed + 1000 + inst,
             os.path.join(inst_dir, "trajectory.csv"))
         costs.append(result.cost)
         finals.append(float(ys[-1]))
@@ -254,6 +253,8 @@ def cmd_experiment(args):
         "cost_mean": float(np.mean(costs)), "cost_std": float(np.std(costs)),
         "final_fraction_mean": float(np.mean(finals)),
         "final_fraction_std": float(np.std(finals)),
+        "final_fractions": finals,
+        "hit_rate": float(np.mean(np.array(finals) >= 1.0 - args.eps)),
     }
     _write_json(os.path.join(args.out, "experiment.json"), summary)
     print("experiment: mean cost %.6g, mean final fraction %.4f"

@@ -21,18 +21,34 @@ def binom_tail(k, r, z):
 
     Scalar in, scalar out.  Accurate to ~1e-13 relative up to k of order 1e5.
     """
+    out = _tail(_tail_params(k, r), _unit(z))
+    return float(out) if out.ndim == 0 else out
+
+
+def _tail_params(k, r):
+    """The checked parameters of P[Bin(k, z) >= r]: betainc's (r, k - r + 1)
+    and the mask of the sure events r = 0."""
     k, r = np.broadcast_arrays(np.asarray(k), np.asarray(r))
     bad = (r < 0) | (r > k)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise ValueError("need 0 <= r <= k, got r=%d, k=%d" % (r.flat[i], k.flat[i]))
+    return np.maximum(r, 1), k - r + 1, r == 0
+
+
+def _unit(z) -> np.ndarray:
+    """z as a float array, checked to lie in [0, 1] up to rounding."""
     z = np.asarray(z, dtype=float)
     if z.size and (z.min() < -1e-15 or z.max() > 1 + 1e-15):
         raise ValueError("z outside [0, 1]")
-    z = np.clip(z, 0.0, 1.0)
+    return np.clip(z, 0.0, 1.0)
+
+
+def _tail(params, z) -> np.ndarray:
+    """The tail at parameters from `_tail_params` and z from `_unit`."""
+    a, b, sure = params
     # I_z(r, k - r + 1) is 0 at z = 0 and 1 at z = 1; r = 0 is the sure event
-    out = np.where(r == 0, 1.0, sc.betainc(np.maximum(r, 1), k - r + 1, z))
-    return float(out) if out.ndim == 0 else out
+    return np.where(sure, 1.0, sc.betainc(a, b, z))
 
 
 def _distinct_pairs(k: np.ndarray, r: np.ndarray):
@@ -44,12 +60,24 @@ def _distinct_pairs(k: np.ndarray, r: np.ndarray):
     return k[first], r[first], inverse.reshape(-1)
 
 
+def _tail_table(z, *groups):
+    """One tail evaluation at z over the distinct pairs of several groups of
+    (k, r) arrays.  Returns the table, shape z.shape + (distinct pairs,),
+    and for each group the table column of each of its pairs."""
+    ku, ru, inverse = _distinct_pairs(np.concatenate([k for k, _ in groups]),
+                                      np.concatenate([r for _, r in groups]))
+    table = _tail(_tail_params(ku, ru), _unit(z)[..., None])
+    return table, np.split(inverse, np.cumsum([k.size for k, _ in groups])[:-1])
+
+
 class _Curves:
     """A type distribution collapsed once onto its distinct (k, r) pairs,
-    with mass weights (for psi) and link weights d * mass / <p, d> (for phi)."""
+    with mass weights (for psi) and link weights d * mass / <p, d> (for phi).
+    The pairs are checked once, here; each evaluation only computes tails."""
 
     def __init__(self, p):
         self.k, self.r, inverse = _distinct_pairs(p.k, p.r)
+        self._params = _tail_params(self.k, self.r)
         self.mass = np.bincount(inverse, p.m)
         mean_d = p.moment("d")
         self._link = np.bincount(inverse, p.d * p.m) / mean_d if mean_d > 0.0 else None
@@ -61,7 +89,7 @@ class _Curves:
         return self._link
 
     def tails(self, z) -> np.ndarray:
-        return binom_tail(self.k, self.r, np.asarray(z, dtype=float)[..., None])
+        return _tail(self._params, _unit(z)[..., None])
 
     def psi(self, z):
         return _scalar_if(self.tails(z) @ self.mass, z)
@@ -92,6 +120,16 @@ def phi(p, z):
     return _Curves(p).phi(z)
 
 
+def _columns(table, lo, hi, d, mean_d: float) -> np.ndarray:
+    """Coefficient columns d (T[lo] - T[hi]) / <p0, d> of a tail table T,
+    where lo and hi index each column's (k, r - eta) and (k, r) tails."""
+    out = table[..., lo] - table[..., hi]
+    np.clip(out, 0.0, None, out=out)
+    out *= d
+    out /= mean_d
+    return out
+
+
 def coeff_matrix(d, k, r, eta, z, mean_d: float) -> np.ndarray:
     """Intervention coefficients a_{w,eta}(z) for columns given as arrays of
     in-degree d, out-degree k, threshold r and reduction eta, with <p0, d>
@@ -108,14 +146,8 @@ def coeff_matrix(d, k, r, eta, z, mean_d: float) -> np.ndarray:
         i = int(np.flatnonzero(bad)[0])
         raise ValueError("eta=%d outside 1..r=%d" % (eta[i], r[i]))
     # both tails of every column, evaluated once per distinct (k, r') pair
-    ku, ru, inverse = _distinct_pairs(np.concatenate([k, k]),
-                                      np.concatenate([r - eta, r]))
-    table = binom_tail(ku, ru, np.asarray(z, dtype=float)[..., None])
-    out = table[..., inverse[:eta.size]] - table[..., inverse[eta.size:]]
-    np.clip(out, 0.0, None, out=out)
-    out *= d
-    out /= mean_d
-    return out
+    table, (lo, hi) = _tail_table(z, (k, r - eta), (k, r))
+    return _columns(table, lo, hi, d, mean_d)
 
 
 def coeff_a(w, eta: int, z, p0):
@@ -124,16 +156,33 @@ def coeff_a(w, eta: int, z, p0):
     return _scalar_if(out, z)
 
 
-def phi_decomposed(p0, xi, z):
-    """phi of the post-intervention statistics written as the baseline curve
-    plus a linear correction in the intervention masses."""
+def phi_post(p0, xi, z, p_post=None):
+    """phi of the statistics after the intervention xi, read off one tail
+    table over z: decomposed as the baseline curve plus a linear correction
+    in the intervention masses and, when p_post = post_statistics(p0, xi) is
+    given, directly.  Returns (direct or None, decomposed); the relaxed audit
+    cross-checks the two."""
     xi.validate_against(p0)
     items = xi.active_items()
-    cols = np.array([(w.d, w.k, w.r, eta) for w, eta, _ in items],
-                    dtype=np.int64).reshape(-1, 4)
+    d, k, r, eta = np.array([(w.d, w.k, w.r, e) for w, e, _ in items],
+                            dtype=np.int64).reshape(-1, 4).T
     masses = np.array([m for _, _, m in items], dtype=float)
-    out = phi(p0, z) + coeff_matrix(*cols.T, z, p0.moment("d")) @ masses
-    return _scalar_if(out, z)
+    base = _Curves(p0)
+    groups = [(base.k, base.r), (k, r - eta), (k, r)]
+    if p_post is not None:
+        post = _Curves(p_post)
+        groups.append((post.k, post.r))
+    table, (at_base, lo, hi, *at_post) = _tail_table(z, *groups)
+    decomposed = (table[..., at_base] @ base.link
+                  + _columns(table, lo, hi, d, p0.moment("d")) @ masses)
+    direct = table[..., at_post[0]] @ post.link if at_post else None
+    return direct, decomposed
+
+
+def phi_decomposed(p0, xi, z):
+    """phi of the post-intervention statistics written as the baseline curve
+    plus a linear correction in the intervention masses; see phi_post."""
+    return _scalar_if(phi_post(p0, xi, z)[1], z)
 
 
 def recursion(p, t_max: int = 10_000, tol: float = 1e-12):

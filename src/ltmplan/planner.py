@@ -166,10 +166,12 @@ class AuditReport:
 
 
 def audit_original(p0: Statistics, xi: StatIntervention, eps: float,
-                   m: int) -> AuditReport:
+                   m: int, p_post: Statistics | None = None) -> AuditReport:
     """Check the un-relaxed constraint: the post-intervention curve must stay
-    strictly above the diagonal up to psi^{-1}(1 - eps)."""
-    p_post = post_statistics(p0, xi)
+    strictly above the diagonal up to psi^{-1}(1 - eps).  p_post, if given,
+    is post_statistics(p0, xi)."""
+    if p_post is None:
+        p_post = post_statistics(p0, xi)
     zmax = meanfield.psi_inverse(p_post, 1.0 - eps)
     zs = np.linspace(0.0, zmax, m + 1)
     margins = meanfield.phi(p_post, zs) - zs
@@ -178,13 +180,16 @@ def audit_original(p0: Statistics, xi: StatIntervention, eps: float,
 
 
 def audit_relaxed(p0: Statistics, xi: StatIntervention, eps: float,
-                  m: int) -> AuditReport:
+                  m: int, p_post: Statistics | None = None) -> AuditReport:
     """Check the relaxed constraint on the fixed domain [0, 1 - alpha],
-    cross-checking the decomposed curve against a direct evaluation."""
+    cross-checking the decomposed curve against a direct evaluation; both
+    are read off one tail table.  p_post, if given, is
+    post_statistics(p0, xi)."""
     alpha = alpha_eps(p0, eps)
     zs = np.linspace(0.0, 1.0 - alpha, m + 1)
-    direct = meanfield.phi(post_statistics(p0, xi), zs)
-    decomposed = meanfield.phi_decomposed(p0, xi, zs)
+    if p_post is None:
+        p_post = post_statistics(p0, xi)
+    direct, decomposed = meanfield.phi_post(p0, xi, zs, p_post)
     mismatch = float(np.max(np.abs(direct - decomposed)))
     if mismatch > 1e-8:
         raise PlannerError("decomposition cross-check failed: %g" % mismatch)
@@ -196,6 +201,7 @@ def audit_relaxed(p0: Statistics, xi: StatIntervention, eps: float,
 @dataclass(frozen=True)
 class PlanResult:
     xi: StatIntervention
+    post: Statistics             # post_statistics(p0, xi), built once per plan
     cost: float
     alpha: float
     delta_used: float
@@ -266,10 +272,11 @@ def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
     lift = model.rows[: n_grid + 1] @ sol.x if len(columns) else np.zeros(n_grid + 1)
     grid_margin = float(np.min(lift - model.rhs[: n_grid + 1]))
     m = cfg.audit_points
-    relaxed = audit_relaxed(p0, xi, cfg.eps, m)
-    original = audit_original(p0, xi, cfg.eps, m)
+    post = post_statistics(p0, xi)
+    relaxed = audit_relaxed(p0, xi, cfg.eps, m, post)
+    original = audit_original(p0, xi, cfg.eps, m, post)
     return PlanResult(
-        xi=xi, cost=cost, alpha=alpha, delta_used=delta,
+        xi=xi, post=post, cost=cost, alpha=alpha, delta_used=delta,
         delta_guarantee=delta_guar,
         guarantee_regime=delta >= delta_guar - 1e-15,
         grid_margin=grid_margin, relaxed_audit=relaxed, original_audit=original,

@@ -8,10 +8,11 @@ probability about exp(-<dk>/<d>).  Per-edge repair is deliberately not used:
 it would bias the law away from the uniform conditional distribution.
 
 Attempts run concurrently, a batch at a time, on one thread per CPU this
-process may use; numpy releases the interpreter lock for the shuffle and the
-loop check.  Attempt j draws from child j of the seed's generator
-(`Generator.spawn`), and the lowest-index loop-free attempt is accepted, so
-the wiring depends only on the seed, never on the number of threads.
+process may use, or inline when that is one; numpy releases the interpreter
+lock for the shuffle and the loop check.  Attempt j draws from child j of
+the seed's generator (`Generator.spawn`), and the lowest-index loop-free
+attempt is accepted, so the wiring depends only on the seed, never on the
+number of threads.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,11 +149,13 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
         return None if np.any(tails == heads) else heads
 
     workers = _cpu_count()
-    with ThreadPoolExecutor(workers) as pool:
+    # one worker draws inline: a pool would only add its set-up cost
+    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        run = map if pool is None else pool.map
         tried = 0
         while tried < max_retries:
             batch = min(workers, max_retries - tried)
-            drawn = list(pool.map(draw, rng.spawn(batch)))
+            drawn = list(run(draw, rng.spawn(batch)))
             for attempt, heads in enumerate(drawn, tried + 1):
                 if heads is not None:
                     log.debug("accepted attempt %d, predicted acceptance "

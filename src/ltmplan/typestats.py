@@ -279,16 +279,24 @@ def extract_statistics(g, rho, cost_fn):
     Returns (Statistics with exact counts, per-node type codes into its
     `types()`).
     """
-    keys = np.column_stack([g.in_degrees, g.out_degrees,
-                            np.asarray(rho, dtype=np.int64)])
-    dkr, type_of, counts = np.unique(keys, axis=0, return_inverse=True,
-                                     return_counts=True)
+    keys = np.stack([g.in_degrees, g.out_degrees, np.asarray(rho, dtype=np.int64)])
+    # one stable sort on (d, k, r), d first; a type starts wherever a row
+    # differs from the one before.  Nothing is packed, so no key can overflow.
+    order = np.lexsort(keys[::-1])
+    rows = keys[:, order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(rows[:, 1:] != rows[:, :-1], axis=0)
+    type_of = np.empty(order.size, dtype=np.int64)
+    type_of[order] = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    counts = np.diff(np.append(first, order.size))
     # lexicographic (d, k, r) order is the sorted type order, since the cost
     # table is a function of (d, k, r)
-    types = [AgentType(d, k, r, cost_fn(d, k, r)) for d, k, r in dkr.tolist()]
+    types = [AgentType(d, k, r, cost_fn(d, k, r))
+             for d, k, r in rows[:, first].T.tolist()]
     counts = dict(zip(types, counts.tolist()))
     masses = {w: c / g.n for w, c in counts.items()}
-    return Statistics(masses, counts=counts, n=g.n), type_of.reshape(-1)
+    return Statistics(masses, counts=counts, n=g.n), type_of
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import os
 
 import numpy as np
 import pytest
-from scipy.stats import binom as sp_binom
 
 from conftest import lin, random_intervention, random_statistics
 from lp_oracle import random_model, vertex_enumerate

@@ -121,11 +121,18 @@ def test_experiment(tmp_path):
     summary = json.load(open(os.path.join(out, "experiment.json")))
     assert summary["instances"] == 2
     assert summary["cost_mean"] >= 0.0
+    finals = []
     for inst in range(2):
         d = os.path.join(out, "instance%02d" % inst)
         for name in ("statistics.json", "plan.json", "trajectory.csv"):
             assert os.path.exists(os.path.join(d, name))
         assert config_of(os.path.join(d, "plan.json"))["seed"] == 5 + inst
+        with open(os.path.join(d, "trajectory.csv")) as fh:
+            finals.append(float(fh.read().split()[-1].split(",")[1]))
+    # one realized final fraction per instance, and the share reaching 1 - eps
+    assert summary["final_fractions"] == finals
+    assert summary["final_fraction_mean"] == pytest.approx(sum(finals) / 2)
+    assert summary["hit_rate"] == sum(f >= 0.7 for f in finals) / 2
 
 
 def test_experiment_unseeded_records_null_seed(tmp_path):

@@ -8,8 +8,7 @@ from conftest import lin, random_intervention, random_statistics
 from ltmplan.meanfield import (binom_tail, coeff_a, derivative_bound,
                                dump_curves, phi, phi_decomposed, psi,
                                psi_inverse, recursion)
-from ltmplan.typestats import (AgentType, StatIntervention, Statistics,
-                               post_statistics)
+from ltmplan.typestats import AgentType, Statistics, post_statistics
 from tail_oracle import tail_sum
 
 

@@ -7,12 +7,13 @@ import pytest
 
 from conftest import lin, random_statistics
 from ltmplan import lp, meanfield
-from ltmplan.planner import (AuditReport, PlannerConfig, PlannerError,
-                             alpha_eps, audit_original, audit_relaxed,
-                             build_lp, delta_n, plan,
-                             solution_to_intervention)
-from ltmplan.typestats import (AgentType, Statistics, intervention_cost,
-                               post_statistics)
+from ltmplan.graph import MultiGraph
+from ltmplan.planner import (PlannerConfig, PlannerError, alpha_eps,
+                             audit_original, audit_relaxed, build_lp, delta_n,
+                             plan, solution_to_intervention)
+from ltmplan.typestats import (AgentType, Statistics, cost_rule,
+                               extract_statistics, intervention_cost,
+                               threshold_rule)
 
 
 def mixed_quartic():
@@ -20,6 +21,25 @@ def mixed_quartic():
     return Statistics({AgentType(4, 4, 1, lin(1)): 0.3,
                        AgentType(4, 4, 2, lin(2)): 0.4,
                        AgentType(4, 4, 3, lin(3)): 0.3})
+
+
+def powergrid_instance(n=600, seed=3):
+    """Statistics of one power-grid-shaped network: a connected spatial tree
+    (each node joins its nearest earlier node) plus short links, mean degree
+    2.67, undirected, uniform-random thresholds."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    dist = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    edges = {(int(np.argmin(dist[i, :i])), i) for i in range(1, n)}
+    near = np.argsort(dist, axis=1)[:, 1:6]
+    while len(edges) < round(1.335 * n):
+        i = int(rng.integers(n))
+        j = int(near[i, rng.integers(5)])
+        edges.add((min(i, j), max(i, j)))
+    t, h = np.array(sorted(edges)).T
+    g = MultiGraph(n, np.concatenate([t, h]), np.concatenate([h, t]))
+    rho = threshold_rule("uniform-random", seed=seed)(g)
+    return extract_statistics(g, rho, cost_rule("linear"))[0]
 
 
 def guarantee_config(p0, eps):
@@ -210,6 +230,42 @@ def test_audits_flag_inadequate_intervention():
     # strict-margin requirement already fails there
     assert not rel.ok and rel.margin <= 0.0
     assert not orig.ok
+
+
+@pytest.mark.parametrize("p0, cfg", [
+    (mixed_quartic(), PlannerConfig(eps=0.1, grid_n=100, delta=0.05)),
+    (powergrid_instance(), PlannerConfig(eps=0.3, grid_n=100, delta=0.05)),
+], ids=["criterion6", "powergrid"])
+def test_audits_share_post_statistics(p0, cfg):
+    # plan() builds the post-intervention statistics once for both audits;
+    # the audits must read the same as stand-alone calls, and the curve the
+    # relaxed audit reads off its table must be phi of those statistics
+    res = plan(p0, cfg)
+    m = cfg.audit_points
+    for audit, report in ((audit_relaxed, res.relaxed_audit),
+                          (audit_original, res.original_audit)):
+        for got in (audit(p0, res.xi, cfg.eps, m, res.post),
+                    audit(p0, res.xi, cfg.eps, m)):
+            assert got.zmax == pytest.approx(report.zmax, abs=1e-12)
+            assert got.margin == pytest.approx(report.margin, abs=1e-12)
+            assert got.argmin_z == pytest.approx(report.argmin_z, abs=1e-12)
+    zs = np.linspace(0.0, 1.0 - res.alpha, m + 1)
+    direct = meanfield.phi(res.post, zs)
+    assert np.max(np.abs(direct - meanfield.phi_decomposed(p0, res.xi, zs))) < 1e-12
+    assert res.relaxed_audit.margin == pytest.approx(np.min(direct - zs), abs=1e-12)
+    assert res.relaxed_audit.margin > 0.0
+
+
+def test_audit_cross_check_fires(monkeypatch):
+    # a corrupted coefficient path makes the decomposed curve disagree with
+    # the direct one, shared table or not
+    p0 = mixed_quartic()
+    res = plan(p0, PlannerConfig(eps=0.1, grid_n=100, delta=0.05))
+    columns = meanfield._columns
+    monkeypatch.setattr(meanfield, "_columns", lambda *a: 1.001 * columns(*a))
+    for post in (res.post, None):
+        with pytest.raises(PlannerError, match="cross-check"):
+            audit_relaxed(p0, res.xi, 0.1, 1000, post)
 
 
 def test_plan_to_dict_is_json_ready():

@@ -10,6 +10,7 @@ import pytest
 from scipy.stats import chisquare
 
 from conftest import lin
+from ltmplan import sampler
 from ltmplan.sampler import (SamplerError, _largest_remainder,
                              cascade_fractions, monte_carlo_validate,
                              realize_intervention, round_intervention,
@@ -93,14 +94,25 @@ def test_sample_does_not_depend_on_worker_count(monkeypatch, caplog):
     # seed 35 needs 5, and attempt 7 of the same batch of 4 is loop-free too
     p = Statistics({AgentType(3, 3, 1, lin(1)): 1.0})
     caplog.set_level(logging.DEBUG, logger="ltmplan.sampler")
+    pools = []
+
+    class CountedPool(sampler.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", CountedPool)
     for seed in (35, 1):
         runs = []
         for workers in (1, 4):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, w=workers: set(range(w)), raising=False)
             caplog.clear()
+            pools.clear()
             runs.append(sample_configuration_model(p, 200, seed=seed))
             assert "%d workers" % workers in caplog.text
+            # one worker draws inline, without building an executor
+            assert pools == ([] if workers == 1 else [(workers,)])
             attempts = runs[-1][3].attempts
             with pytest.raises(SamplerError, match="in %d draws" % (attempts - 1)):
                 sample_configuration_model(p, 200, seed=seed,

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -72,7 +73,7 @@ def test_extract_path(path3):
 
 
 def test_extract_matches_per_node_grouping():
-    # extraction groups nodes with one np.unique; a per-node loop is the
+    # extraction groups nodes with one sort; a per-node loop is the
     # reference for the codes, the counts and the masses
     rng = np.random.default_rng(8)
     tails, heads = rng.integers(0, 30, 120), rng.integers(0, 30, 120)
@@ -88,6 +89,34 @@ def test_extract_matches_per_node_grouping():
         counts[w] = counts.get(w, 0) + 1
     assert p0.counts == counts
     assert p0.masses == {w: c / g.n for w, c in counts.items()}
+
+
+class StubGraph:
+    """What extraction reads of a network: n and the degree sequences."""
+
+    def __init__(self, in_degrees, out_degrees):
+        self.n = in_degrees.size
+        self.in_degrees, self.out_degrees = in_degrees, out_degrees
+
+
+def test_extract_matches_sorted_tuples():
+    # degrees near 2**31: a key packed as d * (k_max + 1) * (r_max + 1) + ...
+    # overflows int64 there; sorted (d, k, r) tuples are the reference for
+    # the type table, the codes and the counts
+    rng = np.random.default_rng(12)
+    big = 2**31
+    for n in (1, 7, 400):
+        d = rng.choice([0, 1, 2, 5, big - 1, big, big + 3], n)
+        k = rng.choice([3, 4, big - 2, big, big + 1], n)
+        r = rng.integers(0, 4, n)
+        p0, type_of = extract_statistics(StubGraph(d, k), r, cost_rule("seeding"))
+        rows = list(zip(d.tolist(), k.tolist(), r.tolist()))
+        table = sorted(set(rows))
+        assert [(w.d, w.k, w.r) for w in p0.types()] == table
+        assert type_of.tolist() == [table.index(row) for row in rows]
+        assert {(w.d, w.k, w.r): c for w, c in p0.counts.items()} == \
+            collections.Counter(rows)
+        assert p0.n == n and p0.m.tolist() == [rows.count(t) / n for t in table]
 
 
 def test_null_intervention():
