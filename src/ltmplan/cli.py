@@ -180,7 +180,7 @@ def _realize_and_compare(g, p, type_of, rho, xi, p_post, seed, csv_path):
 def cmd_validate(args):
     p0 = _load_stats_doc(args.statistics)
     plan_doc = _read_json(args.plan, "xi")
-    xi = intervention_from_records(plan_doc["xi"]).validate_against(p0, tol=1e-9)
+    xi = intervention_from_records(plan_doc["xi"], p0)
     os.makedirs(args.out, exist_ok=True)
     if args.edges:
         # realize mode: apply the plan to a concrete network
@@ -194,9 +194,7 @@ def cmd_validate(args):
             g, p0, type_of, rho, xi, post_statistics(p0, xi), args.seed,
             os.path.join(args.out, "trajectory_realized.csv"))
         # each node priced by its type's cost table; per node, as a plan's cost
-        tables = [w.cost for w in p0.types()]
-        start = np.cumsum([0] + [len(c) for c in tables[:-1]])
-        cost = np.concatenate(tables)[start[type_of] + h].mean()
+        cost = p0.cost(type_of, h).mean()
         report = {"mode": "realize", "n": g.n, "final_fraction": float(ys[-1]),
                   "target": 1.0 - args.eps,
                   "ok": bool(ys[-1] >= 1.0 - args.eps),

@@ -162,11 +162,10 @@ def phi_post(p0, xi, z, p_post=None):
     in the intervention masses and, when p_post = post_statistics(p0, xi) is
     given, directly.  Returns (direct or None, decomposed); the relaxed audit
     cross-checks the two."""
-    xi.validate_against(p0)
-    items = xi.active_items()
-    d, k, r, eta = np.array([(w.d, w.k, w.r, e) for w, e, _ in items],
-                            dtype=np.int64).reshape(-1, 4).T
-    masses = np.array([m for _, _, m in items], dtype=float)
+    xi.require_base(p0)
+    moved = xi.moved()
+    code, eta, masses = xi.code[moved], xi.eta[moved], xi.mass[moved]
+    d, k, r = p0.d[code], p0.k[code], p0.r[code]
     base = _Curves(p0)
     groups = [(base.k, base.r), (k, r - eta), (k, r)]
     if p_post is not None:

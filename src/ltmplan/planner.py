@@ -88,23 +88,24 @@ def _variables(p0: Statistics, eta_mode: str):
     """(type, eta) columns: every positive-mass type, reductions 1..r_w
     (seed-only keeps just eta = r_w).  Returns, per column, the code of its
     type in p0.types(), its eta and its cost."""
-    types = p0.types()
     codes = np.flatnonzero((p0.m > 0.0) & (p0.r > 0))
-    etas = [np.arange(1, r + 1) if eta_mode == "full" else np.array([r])
-            for r in p0.r[codes].tolist()]
-    owner = np.repeat(codes, np.array([e.size for e in etas], dtype=np.int64))
-    eta = np.concatenate([np.zeros(0, dtype=np.int64)] + etas)
-    cost = np.concatenate([np.zeros(0)] + [np.asarray(types[c].cost)[e]
-                                           for c, e in zip(codes, etas)])
-    return owner, eta, cost
+    if eta_mode == "full":
+        r = p0.r[codes]
+        owner = np.repeat(codes, r)
+        # eta counts 1..r_w along each type's run of columns
+        eta = np.arange(owner.size) - np.repeat(np.cumsum(r) - r, r) + 1
+    else:
+        owner, eta = codes, p0.r[codes]
+    return owner, eta, p0.cost(owner, eta)
 
 
 def build_lp(p0: Statistics, cfg: PlannerConfig):
     """Assemble the discretized program.
 
-    Returns (LpModel, columns, grid) where columns[i] is the (type, eta) of
-    variable i.  The eta = 0 slack is eliminated: grid rows lower-bound the
-    curve lift, one budget row per type caps the moved mass at the type mass.
+    Returns (LpModel, columns, grid) where columns, an (nv, 2) integer
+    array, holds the (type code, eta) of each variable.  The eta = 0 slack is
+    eliminated: grid rows lower-bound the curve lift, one budget row per type
+    caps the moved mass at the type mass.
     Columns that cannot lift any grid point but cost something are pruned.
     """
     alpha = alpha_eps(p0, cfg.eps)
@@ -117,8 +118,7 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     # a column that can never help would never be selected
     keep = np.any(coeffs > 0.0, axis=0) | (cost <= 0.0)
     owner, eta = owner[keep], eta[keep]
-    types = p0.types()
-    columns = [(types[i], e) for i, e in zip(owner.tolist(), eta.tolist())]
+    columns = np.column_stack([owner, eta])
     nv = len(columns)
     grid_rhs = zs + delta - meanfield.phi(p0, zs)
     # one budget row per type that keeps a column, in type order
@@ -137,21 +137,14 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
 def solution_to_intervention(p0: Statistics, columns, x) -> StatIntervention:
     """Rebuild the full intervention from LP variables, restoring the eta = 0
     mass of each type from mass conservation."""
-    per_type: dict = {w: {} for w in p0.support()}
-    for (w, eta), v in zip(columns, np.asarray(x, dtype=float)):
-        v = max(0.0, float(v))
-        if v > 0.0:
-            per_type[w][eta] = per_type[w].get(eta, 0.0) + v
-    masses = {}
-    for w in p0.support():
-        moved = sum(per_type[w].values())
-        scale = p0.mass(w) / moved if moved > p0.mass(w) else 1.0
-        total = 0.0
-        for eta, v in per_type[w].items():
-            masses[(w, eta)] = v * scale
-            total += v * scale
-        masses[(w, 0)] = p0.mass(w) - total
-    return StatIntervention(masses)
+    code, eta = np.asarray(columns, dtype=np.int64).reshape(-1, 2).T
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    moved = np.bincount(code, x, minlength=p0.m.size)
+    x = x * np.divide(p0.m, moved, out=np.ones(p0.m.size), where=moved > p0.m)[code]
+    support = np.flatnonzero(p0.m > 0.0)
+    rest = p0.m[support] - np.bincount(code, x, minlength=p0.m.size)[support]
+    return StatIntervention(p0, np.append(code, support),
+                            np.append(eta, 0 * support), np.append(x, rest))
 
 
 @dataclass(frozen=True)

@@ -62,24 +62,18 @@ def _largest_remainder(targets, total: int, rng) -> np.ndarray:
     return floors
 
 
-def round_intervention(xi: StatIntervention, n: int, seed=None) -> dict:
-    """Integer node counts per (type, eta) summing per type to round(n * p_w).
+def round_intervention(xi: StatIntervention, n: int, seed=None) -> np.ndarray:
+    """Integer node counts per entry of xi summing per type to round(n * p_w).
 
     Idempotent when all n * xi_w(eta) are already integers.
     """
     rng = np.random.default_rng(seed)
-    by_type: dict = {}
-    for (w, eta), m in xi.items():
-        by_type.setdefault(w, {})[eta] = m
-    counts = {}
-    for w in sorted(by_type):
-        etas = sorted(by_type[w])
-        masses = np.array([by_type[w][e] for e in etas])
+    counts = np.zeros(xi.code.size, dtype=np.int64)
+    # entries are sorted by type code: each type is one run of them
+    for run in np.split(np.arange(xi.code.size), np.flatnonzero(np.diff(xi.code)) + 1):
+        masses = xi.mass[run]
         total = int(round(n * float(masses.sum())))
-        ints = _largest_remainder(n * masses, total, rng)
-        for e, c in zip(etas, ints):
-            if c > 0:
-                counts[(w, e)] = int(c)
+        counts[run] = _largest_remainder(n * masses, total, rng)
     return counts
 
 
@@ -176,29 +170,27 @@ def realize_intervention(p: Statistics, type_of, rho, xi: StatIntervention,
     """Turn a statistical intervention into per-node threshold reductions on a
     concrete network whose node i has type p.types()[type_of[i]].
 
-    xi is rounded to node counts per (type, eta) on len(type_of) nodes; for
+    xi (on p) is rounded to node counts per entry on len(type_of) nodes; for
     each count with eta >= 1, in (type, eta) order, that many nodes of the
     type not yet picked are drawn uniformly without replacement and reduced
     by eta.  Returns the per-node reductions h.
     """
+    xi.require_base(p)
     rng = np.random.default_rng(seed)
     type_of = np.asarray(type_of)
     counts = round_intervention(xi, type_of.size, seed=rng)
-    code = {w: i for i, w in enumerate(p.types())}
     h = np.zeros(type_of.size, dtype=np.int64)
     pools: dict = {}
-    for (w, eta), c in sorted(counts.items()):
-        if eta == 0:
+    for code, eta, c in zip(xi.code.tolist(), xi.eta.tolist(), counts.tolist()):
+        if eta == 0 or c == 0:
             continue
-        pool = pools.get(w)
-        if pool is None:
-            pool = np.flatnonzero(type_of == code.get(w, -1))
+        pool = pools[code] if code in pools else np.flatnonzero(type_of == code)
         if c > pool.size:
-            raise SamplerError("intervention asks for %d nodes of type %s, "
-                               "only %d available" % (c, w, pool.size))
+            raise SamplerError("intervention asks for %d nodes of type %s, only %d "
+                               "available" % (c, p.types()[code].label, pool.size))
         chosen = rng.choice(pool.size, size=c, replace=False)
         h[pool[chosen]] = eta
-        pools[w] = np.delete(pool, chosen)
+        pools[code] = np.delete(pool, chosen)
     rho = np.asarray(rho, dtype=np.int64)
     if np.any(h > rho):
         raise SamplerError("realized intervention exceeds thresholds")

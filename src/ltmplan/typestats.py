@@ -2,11 +2,11 @@
 
 A type bundles in-degree, out-degree, threshold and the threshold-reduction
 cost table of an agent.  Statistics are the empirical distribution of types,
-held as one sorted type table: `types()` and the aligned read-only arrays
-`d`, `k`, `r` and `m` (the masses), built once per `Statistics`.  A node of
-a concrete network carries its type as an integer code into that table, so
-per-node work is array indexing.  A statistical intervention moves per-type
-mass to lower-threshold copies of the same type.
+held as one sorted type table: `types()`, the aligned read-only arrays
+`d`, `k`, `r` and `m` (the masses) and `cost(code, eta)`, built once per
+`Statistics`.  A node of a concrete network, and an entry of a statistical
+intervention (mass moved to a lower-threshold copy of a type), carry their
+type as an integer code into that table, so per-type work is array indexing.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ class AgentType:
             raise StatsError("costs must be finite and non-negative")
         object.__setattr__(self, "cost", cost)
 
-    def cost_at(self, eta: int) -> float:
-        return self.cost[eta]
+    @property
+    def label(self) -> str:   # for messages: a cost table can be thousands long
+        return "(d=%d, k=%d, r=%d)" % (self.d, self.k, self.r)
 
     def reduced(self, eta: int) -> "AgentType":
         """The type obtained by lowering the threshold by eta units.
@@ -69,13 +70,12 @@ class AgentType:
 class Statistics:
     """Probability distribution over agent types.
 
-    When extracted from a concrete graph, exact integer counts and n are kept
-    alongside the float masses so integrality checks do not suffer drift.
+    Given n (as when extracted from a graph), `counts` holds the exact node
+    count of each type of `types()`, so integrality checks do not drift.
     Equality is identity: compare type tables and masses explicitly.
     """
 
     masses: dict
-    counts: dict | None = None
     n: int | None = None
 
     def __post_init__(self):
@@ -85,22 +85,25 @@ class Statistics:
         for w, m in masses.items():
             if not -MASS_TOL <= m < math.inf:
                 raise StatsError("mass %g on type %s is negative or not finite"
-                                 % (m, w))
+                                 % (m, w.label))
         total = math.fsum(masses.values())
         if abs(total - 1.0) > 1e-9:
             raise StatsError("type masses sum to %.17g, expected 1" % total)
         object.__setattr__(self, "masses", masses)
-        if self.counts is not None:
-            if self.n is None:
-                raise StatsError("counts given without n")
-            if sum(self.counts.values()) != self.n:
-                raise StatsError("type counts do not sum to n")
         # the type table: sorted types and aligned degree, threshold and
         # mass arrays; a type's code is its index here
         types = tuple(sorted(masses))
         table = {name: np.array([getattr(w, name) for w in types], dtype=np.int64)
                  for name in ("d", "k", "r")}
         table["m"] = np.array([masses[w] for w in types])
+        # the cost tables end to end: type i's starts at _offset[i]
+        table["_offset"] = np.cumsum(table["r"] + 1) - (table["r"] + 1)
+        table["_costs"] = np.array([c for w in types for c in w.cost])
+        if self.n is not None:
+            table["counts"] = np.rint(self.n * table["m"]).astype(np.int64)
+            if int(table["counts"].sum()) != self.n:
+                raise StatsError("type counts do not sum to n")
+        object.__setattr__(self, "counts", None)
         for name, array in table.items():
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -109,8 +112,9 @@ class Statistics:
     def types(self):
         return list(self._types)
 
-    def mass(self, w: AgentType) -> float:
-        return self.masses.get(w, 0.0)
+    def cost(self, code, eta):
+        """c_w(eta) of the type with the given code; broadcasts over arrays."""
+        return self._costs[self._offset[code] + eta]
 
     def support(self):
         return [self._types[i] for i in np.flatnonzero(self.m > 0.0)]
@@ -141,71 +145,87 @@ class Statistics:
 
 
 class StatIntervention:
-    """Per-type mass moved to each reduction depth eta.
+    """Mass moved from each type of `base` down by eta = 0..r_w threshold
+    units: aligned read-only arrays `code` (into base.types()), `eta` and
+    `mass`, sorted by (code, eta), without zero masses.  Checked once, here:
+    per type of the table, the masses over eta sum to its mass in base."""
 
-    masses maps (AgentType, eta) -> mass for eta = 0..r_w; for every type the
-    masses over eta must sum to the type's mass in the base statistics.
-    """
+    def __init__(self, base: Statistics, code, eta, mass):
+        code, eta = (np.asarray(v, dtype=np.int64).reshape(-1) for v in (code, eta))
+        mass = np.asarray(mass, dtype=float).reshape(-1)
+        order = np.lexsort((eta, code))
+        code, eta, mass = code[order], eta[order], mass[order]
+        repeated = np.append(False, (code[1:] == code[:-1]) & (eta[1:] == eta[:-1]))
+        for bad, what in (((eta < 0) | (eta > base.r[code]), "eta outside 0..r"),
+                          (~np.isfinite(mass), "mass not finite"),
+                          (mass < -MASS_TOL, "negative mass"),
+                          (repeated, "duplicate entry")):
+            if bad.any():
+                i = np.flatnonzero(bad)[0]
+                raise StatsError("intervention eta=%d, mass %g on type %s: %s" % (
+                    eta[i], mass[i], base.types()[code[i]].label, what))
+        keep = mass != 0.0
+        code, eta, mass = code[keep], eta[keep], mass[keep]
+        totals = np.bincount(code, mass, minlength=base.m.size)
+        bad = np.flatnonzero(np.abs(totals - base.m) > MASS_TOL)
+        if bad.size:
+            i = bad[0]
+            raise StatsError("intervention mass %.17g on type %s does not match "
+                             "its mass %.17g"
+                             % (totals[i], base.types()[i].label, base.m[i]))
+        for array in (code, eta, mass):
+            array.setflags(write=False)
+        self.base, self.code, self.eta, self.mass = base, code, eta, mass
 
-    def __init__(self, masses: dict):
-        self.masses = {}
-        for (w, eta), m in masses.items():
-            if not (0 <= eta <= w.r):
-                raise StatsError("eta=%d outside 0..r=%d for type %s" % (eta, w.r, w))
-            m = float(m)
-            if m < -MASS_TOL:
-                raise StatsError("negative intervention mass %g" % m)
-            if m != 0.0:
-                self.masses[(w, eta)] = m
+    def moved(self) -> np.ndarray:
+        """Mask of the entries that move positive mass, eta >= 1."""
+        return (self.eta > 0) & (self.mass > 0.0)
 
-    def mass(self, w: AgentType, eta: int) -> float:
-        return self.masses.get((w, eta), 0.0)
+    def require_base(self, p0: Statistics):
+        if self.base is not p0:
+            raise StatsError("intervention was built on other statistics")
 
-    def items(self):
-        return sorted(self.masses.items())
+    @staticmethod
+    def from_masses(base: Statistics, masses: dict) -> "StatIntervention":
+        """From {(AgentType, eta): mass}; every type must be in base."""
+        return _from_entries(base, masses.items())
 
-    def active_items(self):
-        """(w, eta, mass) triples with eta >= 1 and positive mass."""
-        return [(w, eta, m) for (w, eta), m in self.items() if eta >= 1 and m > 0.0]
 
-    def validate_against(self, p0: Statistics, tol: float = MASS_TOL):
-        seen = set()
-        for (w, eta) in self.masses:
-            seen.add(w)
-            if w not in p0.masses:
-                raise StatsError("intervention touches type %s absent from p0" % (w,))
-        for w in p0.support():
-            total = math.fsum(self.mass(w, eta) for eta in range(w.r + 1))
-            if abs(total - p0.mass(w)) > tol:
-                raise StatsError(
-                    "intervention mass %.17g on type %s does not match p0 mass %.17g"
-                    % (total, w, p0.mass(w)))
-        return self
+def _from_entries(base: Statistics, entries) -> StatIntervention:
+    """An intervention from ((AgentType, eta), mass) pairs, each type looked
+    up in base's table; an unknown type is a StatsError."""
+    code = {w: i for i, w in enumerate(base.types())}
+    for (w, _), _ in entries:
+        if w not in code:
+            raise StatsError("intervention touches type %s absent from the "
+                             "statistics" % w.label)
+    return StatIntervention(base, [code[w] for (w, _), _ in entries],
+                            [eta for (_, eta), _ in entries], [m for _, m in entries])
 
 
 def null_intervention(p0: Statistics) -> StatIntervention:
     """All mass at eta = 0; leaves the statistics unchanged and costs 0."""
-    return StatIntervention({(w, 0): m for w, m in p0.masses.items()})
+    return StatIntervention(p0, np.arange(p0.m.size), np.zeros(p0.m.size), p0.m)
 
 
 def post_statistics(p0: Statistics, xi: StatIntervention) -> Statistics:
     """Statistics after applying xi: each reduced slice of a type becomes the
     corresponding lower-threshold type.  Total mass and the d/k first moments
     are conserved exactly."""
-    xi.validate_against(p0)
+    xi.require_base(p0)
+    types = p0.types()
     out: dict[AgentType, float] = dict(p0.masses)
-    for w, eta, m in xi.active_items():
+    for i in np.flatnonzero(xi.moved()).tolist():
+        w, m = types[xi.code[i]], float(xi.mass[i])
         out[w] = out.get(w, 0.0) - m
-        w2 = w.reduced(eta)
+        w2 = w.reduced(int(xi.eta[i]))
         out[w2] = out.get(w2, 0.0) + m
-    out = {w: m for w, m in out.items() if abs(m) > MASS_TOL}
-    # clip the tiny negatives cancellation can leave behind
-    out = {w: (0.0 if -MASS_TOL < m < 0.0 else m) for w, m in out.items()}
-    return Statistics(out)
+    # drop what cancellation leaves of a type; no mass in (-MASS_TOL, 0) survives
+    return Statistics({w: m for w, m in out.items() if abs(m) > MASS_TOL})
 
 
 def intervention_cost(xi: StatIntervention) -> float:
-    return math.fsum(m * w.cost_at(eta) for (w, eta), m in xi.masses.items())
+    return math.fsum((xi.mass * xi.base.cost(xi.code, xi.eta)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +296,8 @@ def extract_statistics(g, rho, cost_fn):
     """Group nodes by (in-degree, out-degree, threshold); the cost table is
     cost_fn of those three.
 
-    Returns (Statistics with exact counts, per-node type codes into its
-    `types()`).
+    Returns (Statistics with n, so with exact counts, per-node type codes
+    into its `types()`).
     """
     keys = np.stack([g.in_degrees, g.out_degrees, np.asarray(rho, dtype=np.int64)])
     # one stable sort on (d, k, r), d first; a type starts wherever a row
@@ -292,11 +312,9 @@ def extract_statistics(g, rho, cost_fn):
     counts = np.diff(np.append(first, order.size))
     # lexicographic (d, k, r) order is the sorted type order, since the cost
     # table is a function of (d, k, r)
-    types = [AgentType(d, k, r, cost_fn(d, k, r))
-             for d, k, r in rows[:, first].T.tolist()]
-    counts = dict(zip(types, counts.tolist()))
-    masses = {w: c / g.n for w, c in counts.items()}
-    return Statistics(masses, counts=counts, n=g.n), type_of
+    masses = {AgentType(d, k, r, cost_fn(d, k, r)): c / g.n
+              for (d, k, r), c in zip(rows[:, first].T.tolist(), counts.tolist())}
+    return Statistics(masses, n=g.n), type_of
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +358,22 @@ def statistics_from_records(records, n=None):
     for rec in records:
         w = AgentType(int(rec["d"]), int(rec["k"]), int(rec["r"]), tuple(rec["cost"]))
         if w in masses:
-            raise StatsError("duplicate type record for %s" % (w,))
+            raise StatsError("duplicate type record for %s" % w.label)
         masses[w] = float(rec["mass"])
-    p = Statistics(masses)      # checks the masses before they are counted
-    if not n:
-        return p
-    counts = {w: int(round(n * m)) for w, m in p.masses.items()}
-    return Statistics(p.masses, counts=counts, n=n)
+    return Statistics(masses, n=n or None)
 
 
 def intervention_to_records(xi: StatIntervention):
+    types = xi.base.types()
     return [{"d": w.d, "k": w.k, "r": w.r, "cost": list(w.cost),
              "eta": eta, "mass": m}
-            for (w, eta), m in xi.items()]
+            for w, eta, m in zip([types[c] for c in xi.code.tolist()],
+                                 xi.eta.tolist(), xi.mass.tolist())]
 
 
-def intervention_from_records(records) -> StatIntervention:
-    masses = {}
-    for rec in records:
-        w = AgentType(int(rec["d"]), int(rec["k"]), int(rec["r"]), tuple(rec["cost"]))
-        key = (w, int(rec["eta"]))
-        masses[key] = masses.get(key, 0.0) + float(rec["mass"])
-    return StatIntervention(masses)
+def intervention_from_records(records, p0: Statistics) -> StatIntervention:
+    """The intervention on p0 that the records describe; a repeated
+    (type, eta) record is rejected, as a repeated type is in statistics."""
+    return _from_entries(p0, [
+        ((AgentType(int(rec["d"]), int(rec["k"]), int(rec["r"]), tuple(rec["cost"])),
+          int(rec["eta"])), float(rec["mass"])) for rec in records])

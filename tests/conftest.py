@@ -33,10 +33,10 @@ def random_intervention(rng, p0):
     """Random valid intervention: per type, a Dirichlet split over 0..r."""
     masses = {}
     for w in p0.support():
-        split = rng.dirichlet(np.ones(w.r + 1)) * p0.mass(w)
+        split = rng.dirichlet(np.ones(w.r + 1)) * p0.masses[w]
         for eta, m in enumerate(split):
             masses[(w, eta)] = float(m)
-    return StatIntervention(masses)
+    return StatIntervention.from_masses(p0, masses)
 
 
 @pytest.fixture

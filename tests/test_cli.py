@@ -289,3 +289,40 @@ def test_plan_beyond_float_derivative_bound(tmp_path, capsys):
     text = open(os.path.join(out, "plan.json")).read()
     doc = json.loads(text, parse_constant=lambda name: pytest.fail(name))
     assert doc["delta_N"] is None and "empirical" in doc["regime"]
+
+
+def _edited_plan(tmp_path, plan_path, edit):
+    doc = json.load(open(plan_path))
+    edit(doc["xi"])
+    path = tmp_path / "edited_plan.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_validate_checks_plan_masses_at_load(tmp_path, capsys):
+    # conservation is checked once, at MASS_TOL, when the plan is loaded: a
+    # mass off by 1e-10 is an error there, naming the type
+    stats = run_stats(tmp_path)
+    plan_path = run_plan(tmp_path, stats)
+
+    def nudge(xi):
+        xi[0]["mass"] += 1e-10
+    capsys.readouterr()
+    rc = main(["validate", "--statistics", stats,
+               "--plan", _edited_plan(tmp_path, plan_path, nudge),
+               "--out", str(tmp_path / "x")])
+    assert rc == EXIT_VALIDATE
+    err = assert_one_line(capsys, "statistics error:")
+    assert "does not match" in err and "(d=4, k=4, r=2)" in err
+    assert not os.path.exists(tmp_path / "x")    # failed before any output
+
+
+def test_validate_rejects_duplicate_plan_record(tmp_path, capsys):
+    stats = run_stats(tmp_path)
+    plan_path = run_plan(tmp_path, stats)
+    capsys.readouterr()
+    rc = main(["validate", "--statistics", stats,
+               "--plan", _edited_plan(tmp_path, plan_path, lambda xi: xi.append(xi[0])),
+               "--out", str(tmp_path / "x")])
+    assert rc == EXIT_VALIDATE
+    assert "duplicate" in assert_one_line(capsys, "statistics error:")

@@ -92,15 +92,16 @@ def test_build_lp_structure():
     phi0 = meanfield.phi(p0, zs)
     assert model.rhs[:11] == pytest.approx(zs + 0.05 - phi0)
     # objective carries each type's cost table
-    for c, (w, eta) in zip(model.objective, columns):
-        assert c == w.cost_at(eta)
+    types = p0.types()
+    for c, (code, eta) in zip(model.objective, columns):
+        assert c == types[code].cost[eta]
 
 
 def test_build_lp_seed_only():
     p0 = mixed_quartic()
     _, columns, _ = build_lp(p0, PlannerConfig(eps=0.1, grid_n=10, delta=0.05,
                                                eta_mode="seed-only"))
-    assert [(w.r, eta) for w, eta in columns] == [(1, 1), (2, 2), (3, 3)]
+    assert [(p0.r[c], eta) for c, eta in columns.tolist()] == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_solution_to_intervention_round_trip():
@@ -110,7 +111,8 @@ def test_solution_to_intervention_round_trip():
     sol = lp.solve(model)
     assert sol.status == "optimal"
     xi = solution_to_intervention(p0, columns, sol.x)
-    xi.validate_against(p0)
+    assert xi.base is p0
+    assert np.abs(np.bincount(xi.code, xi.mass, minlength=3) - p0.m).max() <= 1e-12
     assert intervention_cost(xi) == pytest.approx(sol.objective, abs=1e-9)
 
 
@@ -119,7 +121,11 @@ def test_plan_reference_instance():
     res = plan(mixed_quartic(), PlannerConfig(eps=0.1, grid_n=100, delta=0.05))
     assert res.cost == pytest.approx(0.05, abs=1e-8)
     assert not res.guarantee_regime
-    active = {(w.r, eta): m for w, eta, m in res.xi.active_items()}
+    xi = res.xi
+    moved = xi.moved()
+    active = {(r, eta): m for r, eta, m in zip(xi.base.r[xi.code[moved]].tolist(),
+                                               xi.eta[moved].tolist(),
+                                               xi.mass[moved].tolist())}
     assert set(active) == {(1, 1)}
     assert active[(1, 1)] == pytest.approx(0.05, abs=1e-8)
     assert res.grid_margin >= -1e-9
@@ -139,7 +145,8 @@ def test_plan_guarantee_regime_random():
         # certified regime implies the continuum constraints hold
         assert res.relaxed_audit.margin > 0.0
         assert res.original_audit.margin > 0.0
-        res.xi.validate_against(p0)
+        assert np.abs(np.bincount(res.xi.code, res.xi.mass, minlength=p0.m.size)
+                      - p0.m).max() <= 1e-12
 
 
 def test_plan_cost_decreases_with_grid_refinement():
@@ -184,14 +191,15 @@ def test_build_lp_columns_match_coeff_a():
         model, columns, zs = build_lp(p0, cfg)
         n_rows = cfg.grid_n + 1
         pruned += sum(w.r for w in p0.support()) - len(columns)
-        for i, (w, eta) in enumerate(columns):
+        for i, (code, eta) in enumerate(columns):
+            w = p0.types()[code]
             assert np.max(np.abs(model.rows[:n_rows, i]
                                  - meanfield.coeff_a(w, eta, zs, p0))) <= 1e-15
-            assert model.objective[i] == w.cost_at(eta)
+            assert model.objective[i] == w.cost[eta]
             # exactly one budget row holds the column, capped at its type mass
             (j,) = np.flatnonzero(model.rows[n_rows:, i])
             assert model.rows[n_rows + j, i] == 1.0
-            assert model.rhs[n_rows + j] == p0.mass(w)
+            assert model.rhs[n_rows + j] == p0.m[code]
     assert pruned > 0
 
 

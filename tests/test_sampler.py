@@ -43,19 +43,20 @@ def test_largest_remainder_handles_overshoot():
 
 def test_round_intervention_exact_case():
     w = AgentType(3, 3, 2, lin(2))
-    xi = StatIntervention({(w, 0): 0.7, (w, 1): 0.3})
+    xi = StatIntervention.from_masses(Statistics({w: 1.0}), {(w, 0): 0.7, (w, 1): 0.3})
     counts = round_intervention(xi, 10, seed=1)
-    assert counts == {(w, 0): 7, (w, 1): 3}
+    assert counts.tolist() == [7, 3]      # aligned with the entries (w, 0), (w, 1)
 
 
 def test_round_intervention_per_type_totals():
     w1 = AgentType(2, 2, 1, lin(1))
     w2 = AgentType(3, 3, 2, lin(2))
-    xi = StatIntervention({(w1, 0): 0.33, (w1, 1): 0.27,
-                           (w2, 0): 0.15, (w2, 2): 0.25})
+    p = Statistics({w1: 0.6, w2: 0.4})
+    xi = StatIntervention.from_masses(p, {(w1, 0): 0.33, (w1, 1): 0.27,
+                                          (w2, 0): 0.15, (w2, 2): 0.25})
     counts = round_intervention(xi, 100, seed=2)
-    assert sum(c for (w, _), c in counts.items() if w == w1) == 60
-    assert sum(c for (w, _), c in counts.items() if w == w2) == 40
+    assert counts[xi.code == 0].sum() == 60
+    assert counts[xi.code == 1].sum() == 40
 
 
 def test_sample_matches_requested_statistics():
@@ -182,8 +183,8 @@ def test_realize_intervention():
                     AgentType(3, 3, 1, lin(1)): 0.5})
     g, rho, type_of, _ = sample_configuration_model(p, 40, seed=11)
     w = AgentType(2, 2, 2, lin(2))
-    xi = StatIntervention({(w, 0): 0.3, (w, 1): 0.1, (w, 2): 0.1,
-                           (AgentType(3, 3, 1, lin(1)), 0): 0.5})
+    xi = StatIntervention.from_masses(p, {(w, 0): 0.3, (w, 1): 0.1, (w, 2): 0.1,
+                                          (AgentType(3, 3, 1, lin(1)), 0): 0.5})
     h = realize_intervention(p, type_of, rho, xi, seed=12)
     assert np.all(h <= rho) and np.all(h >= 0)
     reduced = {eta: 0 for eta in (1, 2)}
@@ -196,12 +197,13 @@ def test_realize_intervention():
 
 
 def test_realize_intervention_rejects_missing_nodes():
-    p = Statistics({AgentType(2, 2, 2, lin(2)): 1.0})
-    g, rho, type_of, _ = sample_configuration_model(p, 10, seed=13)
-    other = AgentType(3, 3, 1, lin(1))
-    xi = StatIntervention({(other, 1): 1.0})
-    with pytest.raises(SamplerError, match="only 0 available"):
-        realize_intervention(p, type_of, rho, xi, seed=14)
+    # p's second type has mass, but no node of the network has that type
+    first, second = AgentType(2, 2, 2, lin(2)), AgentType(3, 3, 1, lin(1))
+    p = Statistics({first: 0.5, second: 0.5})
+    xi = StatIntervention.from_masses(p, {(first, 0): 0.5, (second, 1): 0.5})
+    type_of = np.zeros(10, dtype=np.int64)
+    with pytest.raises(SamplerError, match=r"type \(d=3, k=3, r=1\), only 0 available"):
+        realize_intervention(p, type_of, np.full(10, 2), xi, seed=14)
 
 
 def test_cascade_fractions(path3):

@@ -68,7 +68,7 @@ def test_extract_path(path3):
     p0, _ = extract_statistics(path3, np.array([1, 2, 1]), cost_rule("linear"))
     by_key = {(w.d, w.k, w.r): m for w, m in p0.masses.items()}
     assert by_key == {(1, 1, 1): pytest.approx(2 / 3), (2, 2, 2): pytest.approx(1 / 3)}
-    assert p0.counts[AgentType(1, 1, 1, lin(1))] == 2
+    assert p0.counts[p0.types().index(AgentType(1, 1, 1, lin(1)))] == 2
     assert math.fsum(p0.masses.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -87,7 +87,7 @@ def test_extract_matches_per_node_grouping():
         assert (w.d, w.k, w.r) == (g.in_degrees[i], g.out_degrees[i], rho[i])
         assert w.cost == cost_rule("seeding")(w.d, w.k, w.r)
         counts[w] = counts.get(w, 0) + 1
-    assert p0.counts == counts
+    assert dict(zip(p0.types(), p0.counts.tolist())) == counts
     assert p0.masses == {w: c / g.n for w, c in counts.items()}
 
 
@@ -114,8 +114,8 @@ def test_extract_matches_sorted_tuples():
         table = sorted(set(rows))
         assert [(w.d, w.k, w.r) for w in p0.types()] == table
         assert type_of.tolist() == [table.index(row) for row in rows]
-        assert {(w.d, w.k, w.r): c for w, c in p0.counts.items()} == \
-            collections.Counter(rows)
+        assert {(w.d, w.k, w.r): c for w, c in zip(p0.types(), p0.counts.tolist())} \
+            == collections.Counter(rows)
         assert p0.n == n and p0.m.tolist() == [rows.count(t) / n for t in table]
 
 
@@ -124,7 +124,8 @@ def test_null_intervention():
     w2 = AgentType(2, 2, 2, lin(2))
     p0 = Statistics({w1: 0.5, w2: 0.5})
     xi = null_intervention(p0)
-    assert xi.mass(w1, 0) == 0.5 and xi.mass(w2, 0) == 0.5
+    assert (xi.code.tolist(), xi.eta.tolist(), xi.mass.tolist()) == \
+        ([0, 1], [0, 0], [0.5, 0.5])
     assert intervention_cost(xi) == 0.0
     assert post_statistics(p0, xi).masses == p0.masses
 
@@ -132,7 +133,7 @@ def test_null_intervention():
 def test_post_statistics_single_shift():
     w = AgentType(2, 2, 2, lin(2))
     p0 = Statistics({w: 1.0})
-    xi = StatIntervention({(w, 0): 0.7, (w, 2): 0.3})
+    xi = StatIntervention.from_masses(p0, {(w, 0): 0.7, (w, 2): 0.3})
     p = post_statistics(p0, xi)
     by_r = {t.r: m for t, m in p.masses.items()}
     assert by_r == {2: pytest.approx(0.7), 0: pytest.approx(0.3)}
@@ -141,7 +142,7 @@ def test_post_statistics_single_shift():
 def test_post_statistics_mixed_shift():
     w = AgentType(2, 2, 2, lin(2))
     p0 = Statistics({w: 1.0})
-    xi = StatIntervention({(w, 0): 0.5, (w, 1): 0.3, (w, 2): 0.2})
+    xi = StatIntervention.from_masses(p0, {(w, 0): 0.5, (w, 1): 0.3, (w, 2): 0.2})
     by_r = {t.r: m for t, m in post_statistics(p0, xi).masses.items()}
     assert by_r == {2: pytest.approx(0.5), 1: pytest.approx(0.3),
                     0: pytest.approx(0.2)}
@@ -161,18 +162,25 @@ def test_post_statistics_conserves_mass_and_moments():
 def test_post_statistics_rejects_inconsistent_intervention():
     w = AgentType(2, 2, 2, lin(2))
     p0 = Statistics({w: 1.0})
-    with pytest.raises(StatsError):
-        post_statistics(p0, StatIntervention({(w, 0): 0.5, (w, 2): 0.3}))
+    # conservation is checked once, when the intervention is built
+    with pytest.raises(StatsError, match="does not match"):
+        StatIntervention.from_masses(p0, {(w, 0): 0.5, (w, 2): 0.3})
+    # and post_statistics takes an intervention only on its own base
+    other = Statistics({w: 1.0})
+    with pytest.raises(StatsError, match="other statistics"):
+        post_statistics(p0, null_intervention(other))
 
 
 def test_intervention_cost():
     w = AgentType(2, 2, 2, lin(2))
     p0 = Statistics({w: 1.0})
-    xi = StatIntervention({(w, 0): 0.5, (w, 1): 0.3, (w, 2): 0.2})
+    xi = StatIntervention.from_masses(p0, {(w, 0): 0.5, (w, 1): 0.3, (w, 2): 0.2})
     assert intervention_cost(xi) == pytest.approx(0.7)
 
     ws = AgentType(2, 2, 2, cost_rule("seeding")(2, 2, 2))
-    xis = StatIntervention({(ws, 0): 0.5, (ws, 1): 0.3, (ws, 2): 0.2})
+    p0s = Statistics({ws: 1.0})
+    assert p0s.cost(0, 1) == 2.0
+    xis = StatIntervention.from_masses(p0s, {(ws, 0): 0.5, (ws, 1): 0.3, (ws, 2): 0.2})
     assert intervention_cost(xis) == pytest.approx(1.0)
 
 
@@ -253,9 +261,10 @@ def test_serialization_round_trip():
 
     xi = random_intervention(rng, p0)
     doc = json.dumps(intervention_to_records(xi))
-    xi1 = intervention_from_records(json.loads(doc))
-    assert xi1.masses == xi.masses
-    xi1.validate_against(p0)
+    xi1 = intervention_from_records(json.loads(doc), p0)
+    assert xi1.base is p0
+    for name in ("code", "eta", "mass"):
+        assert getattr(xi1, name).tolist() == getattr(xi, name).tolist()
 
 
 def test_validate_against_detects_mismatch():
@@ -263,4 +272,84 @@ def test_validate_against_detects_mismatch():
     p0 = Statistics({w: 1.0})
     other = AgentType(3, 3, 1, lin(1))
     with pytest.raises(StatsError, match="absent"):
-        StatIntervention({(other, 0): 1.0}).validate_against(p0)
+        StatIntervention.from_masses(p0, {(other, 0): 1.0})
+
+
+def test_statistics_counts_by_code():
+    w1, w2 = AgentType(1, 1, 1, lin(1)), AgentType(2, 2, 0, (0.0,))
+    records = [{"d": 2, "k": 2, "r": 0, "cost": [0.0], "mass": 0.7},
+               {"d": 1, "k": 1, "r": 1, "cost": [0.0, 1.0], "mass": 0.3}]
+    p = statistics_from_records(records, n=10)
+    assert p.types() == [w1, w2] and p.counts.tolist() == [3, 7]
+    assert statistics_from_records(records).counts is None
+    with pytest.raises(StatsError, match="do not sum to n"):
+        statistics_from_records(records, n=5)
+
+
+def test_cost_table_by_code():
+    w1, w2 = AgentType(1, 1, 1, (0.0, 3.0)), AgentType(2, 2, 2, (0.0, 1.0, 4.0))
+    p = Statistics({w1: 0.5, w2: 0.5})
+    assert [p.cost(0, e) for e in range(2)] == [0.0, 3.0]
+    assert p.cost(np.array([1, 1, 1, 0]), np.array([0, 1, 2, 1])).tolist() == \
+        [0.0, 1.0, 4.0, 3.0]
+
+
+def test_merge_rule_after_reduction():
+    # seeding prices a reduction of (2, 2, 2) at 2, the native (2, 2, 1) type
+    # at 1: one step down, the two cost tables differ, so the types stay
+    # apart; under linear costs they agree and merge
+    for rule, merged in (("seeding", False), ("linear", True)):
+        cost = cost_rule(rule)
+        high, low = AgentType(2, 2, 2, cost(2, 2, 2)), AgentType(2, 2, 1, cost(2, 2, 1))
+        p0 = Statistics({high: 0.5, low: 0.5})
+        xi = StatIntervention.from_masses(p0, {(high, 0): 0.3, (high, 1): 0.2,
+                                               (low, 0): 0.5})
+        post = post_statistics(p0, xi)
+        if merged:
+            assert post.types() == [low, high]
+            assert post.m.tolist() == pytest.approx([0.7, 0.3], abs=1e-15)
+        else:
+            moved = high.reduced(1)
+            assert moved.cost == (0.0, 2.0) != low.cost
+            assert post.types() == [low, moved, high]
+            assert post.m.tolist() == pytest.approx([0.5, 0.2, 0.3], abs=1e-15)
+
+
+def test_intervention_rejects_non_finite_mass():
+    w = AgentType(2, 2, 1, lin(1))
+    p0 = Statistics({w: 1.0})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(StatsError, match="not finite"):
+            StatIntervention.from_masses(p0, {(w, 0): 1.0, (w, 1): bad})
+
+
+def test_intervention_rejects_duplicate_records():
+    rng = np.random.default_rng(13)
+    p0 = random_statistics(rng)
+    records = intervention_to_records(random_intervention(rng, p0))
+    with pytest.raises(StatsError, match="duplicate"):
+        intervention_from_records(records + records[:1], p0)
+
+
+def test_type_messages_name_degrees_not_cost_table():
+    # a 200-entry cost table would print 200 floats in an AgentType repr
+    w = AgentType(201, 200, 199, lin(199))
+    absent = AgentType(202, 200, 199, lin(199))
+    p0 = Statistics({w: 1.0})
+    failures = [
+        (lambda: StatIntervention.from_masses(p0, {(w, 0): 0.5}), "does not match"),
+        (lambda: StatIntervention.from_masses(p0, {(w, 0): 1.5, (w, 1): -0.5}),
+         "negative"),
+        (lambda: StatIntervention.from_masses(p0, {(w, 200): 1.0}), "outside"),
+        (lambda: Statistics({w: -0.5, AgentType(1, 1, 0, (0.0,)): 1.5}), "negative"),
+        (lambda: statistics_from_records(statistics_to_records(p0) * 2), "duplicate"),
+    ]
+    for fail, what in failures:
+        with pytest.raises(StatsError, match=what) as exc:
+            fail()
+        text = str(exc.value)
+        assert len(text) < 200 and "(d=201, k=200, r=199)" in text, text
+    with pytest.raises(StatsError, match="absent") as exc:
+        StatIntervention.from_masses(p0, {(w, 0): 1.0, (absent, 0): 0.0})
+    text = str(exc.value)
+    assert len(text) < 200 and "(d=202, k=200, r=199)" in text, text
