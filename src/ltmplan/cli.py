@@ -20,9 +20,8 @@ from .planner import PlannerConfig, PlannerError, plan
 from .sampler import (SamplerError, cascade_fractions, monte_carlo_validate,
                       realize_intervention)
 from .typestats import (StatsError, cost_rule, extract_statistics,
-                        intervention_from_records, post_statistics,
-                        statistics_from_records, statistics_to_records,
-                        threshold_rule)
+                        intervention_from_records, statistics_from_records,
+                        statistics_to_records, threshold_rule)
 
 ENV_PREFIX = "LTMPLAN_"
 
@@ -144,35 +143,33 @@ def cmd_plan(args):
     doc["config"]["statistics"] = args.statistics
     _write_json(os.path.join(args.out, "plan.json"), doc)
     dump_curves(p0, os.path.join(args.out, "curves_baseline.csv"))
-    dump_curves(result.post, os.path.join(args.out, "curves_planned.csv"))
+    dump_curves(result.xi.post, os.path.join(args.out, "curves_planned.csv"))
     print("plan cost %.6g [%s], original-constraint margin %.4g"
           % (result.cost, doc["regime"], result.original_audit.margin))
     return EXIT_OK
 
 
 def _write_trajectory_csv(path, ys, zs, rec):
-    rec_z = [z for z, _ in rec]
-    rec_y = [y for _, y in rec]
-    horizon = max(len(ys), len(rec_y))
-
-    def pick(seq, t):
-        return seq[t] if t < len(seq) else seq[-1]
-
+    """Y(t), Z(t) of a run beside y(t), z(t) of the recursion's (z, y) list;
+    the shorter trajectory holds its last value."""
+    columns = [ys, zs, *np.array(rec).T[::-1]]
+    horizon = max(c.size for c in columns)
+    rows = np.column_stack([np.pad(c, (0, horizon - c.size), mode="edge")
+                            for c in columns])
     with open(path, "w") as fh:
         fh.write("t,Y,Z,y_recursion,z_recursion\n")
-        for t in range(horizon):
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g\n"
-                     % (t, pick(ys, t), pick(zs, t), pick(rec_y, t), pick(rec_z, t)))
+        for t, row in enumerate(rows.tolist()):
+            fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (t, *row))
 
 
-def _realize_and_compare(g, p, type_of, rho, xi, p_post, seed, csv_path):
+def _realize_and_compare(g, type_of, rho, xi, seed, csv_path):
     """Realize xi on the concrete network g, whose node i has type
-    p.types()[type_of[i]], run the cascade from all-zeros, and write its
-    trajectory beside the mean-field recursion of the post-intervention
-    statistics p_post.  Returns (per-node reductions h, Y(t))."""
-    h = realize_intervention(p, type_of, rho, xi, seed=seed)
+    xi.base.types()[type_of[i]], run the cascade from all-zeros, and write
+    its trajectory beside the mean-field recursion of the post-intervention
+    statistics xi.post.  Returns (per-node reductions h, Y(t))."""
+    h = realize_intervention(type_of, rho, xi, seed=seed)
     ys, zs, _ = cascade_fractions(g, apply_intervention(rho, h))
-    rec, _ = recursion(p_post)
+    rec, _ = recursion(xi.post)
     _write_trajectory_csv(csv_path, ys, zs, rec)
     return h, ys
 
@@ -191,7 +188,7 @@ def cmd_validate(args):
                              % (args.edges, args.statistics))
         # equal type tables: the network's codes index p0.types() as well
         h, ys = _realize_and_compare(
-            g, p0, type_of, rho, xi, post_statistics(p0, xi), args.seed,
+            g, type_of, rho, xi, args.seed,
             os.path.join(args.out, "trajectory_realized.csv"))
         # each node priced by its type's cost table; per node, as a plan's cost
         cost = p0.cost(type_of, h).mean()
@@ -203,7 +200,7 @@ def cmd_validate(args):
         print("realized run: final fraction %.4f (target %.4f)"
               % (ys[-1], 1.0 - args.eps))
         return EXIT_OK
-    report = monte_carlo_validate(p0, xi, n=args.mc_n,
+    report = monte_carlo_validate(xi, n=args.mc_n,
                                   replicates=args.replicates,
                                   eps=args.eps, seed=args.seed)
     for rep, (ys, zs) in enumerate(report.network_trajectories):
@@ -238,7 +235,7 @@ def cmd_experiment(args):
         _write_json(os.path.join(inst_dir, "plan.json"), doc)
         args.stage = EXIT_VALIDATE
         _, ys = _realize_and_compare(
-            g, p0, type_of, rho, result.xi, result.post, base_seed + 1000 + inst,
+            g, type_of, rho, result.xi, base_seed + 1000 + inst,
             os.path.join(inst_dir, "trajectory.csv"))
         costs.append(result.cost)
         finals.append(float(ys[-1]))
@@ -262,6 +259,13 @@ def cmd_experiment(args):
 
 def delta_or_auto(text):
     return text if text == "auto" else float(text)
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
 
 
 def _add_network_args(p):
@@ -330,14 +334,14 @@ def build_parser(preset=None):
     p.add_argument("--plan", required=True, help="plan.json from 'plan'")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--mc-n", type=int, default=10000)
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--replicates", type=positive_int, default=1)
     _add_network_args(p)
     p.set_defaults(func=cmd_validate, stage=EXIT_VALIDATE)
 
     p = sub.add_parser("experiment", help="full stats -> plan -> realize pipeline")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named parameterization (dataset supplied by user)")
-    p.add_argument("--instances", type=int, default=1,
+    p.add_argument("--instances", type=positive_int, default=1,
                    help="threshold instances to average over (random rules)")
     _add_network_args(p)
     _add_plan_args(p)

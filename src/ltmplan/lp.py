@@ -109,16 +109,15 @@ def _to_ub_form(model: LpModel):
     return a_ub, b_ub
 
 
-def solve(model: LpModel, feas_tol: float = FEAS_TOL,
-          gap_tol: float = GAP_TOL) -> LpSolution:
+def solve(model: LpModel) -> LpSolution:
     """Solve the model and certify the answer.
 
-    status 'optimal' guarantees: max violation <= feas_tol and a dual bound
-    within gap_tol relative of the primal objective.
+    status 'optimal' guarantees: max violation <= FEAS_TOL and a dual bound
+    within GAP_TOL relative of the primal objective.
     """
     if model.num_vars == 0:
         # vacuous model: feasible iff every row already holds at x = ()
-        if check_solution(model, np.zeros(0))[0] <= feas_tol:
+        if check_solution(model, np.zeros(0))[0] <= FEAS_TOL:
             return LpSolution("optimal", np.zeros(0), 0.0, 0.0, 0.0, 0)
         return LpSolution("infeasible", None, None, None, None, 0,
                           "empty model with unsatisfiable row")
@@ -151,7 +150,7 @@ def solve(model: LpModel, feas_tol: float = FEAS_TOL,
     dual += float(lo_m[finite_lo] @ model.lower[finite_lo])
     dual += float(hi_m[finite_hi] @ model.upper[finite_hi])
     gap = abs(obj - dual) / max(1.0, abs(obj))
-    if viol > feas_tol or gap > gap_tol:
+    if viol > FEAS_TOL or gap > GAP_TOL:
         return LpSolution("error", x, obj, viol, gap, iters,
                           "certification failed: violation=%g gap=%g" % (viol, gap))
     return LpSolution("optimal", x, obj, viol, gap, iters, res.message)

@@ -15,6 +15,10 @@ import math
 import numpy as np
 from scipy import special as sc
 
+RECURSION_STEPS = 10_000
+RECURSION_TOL = 1e-12
+BISECTION_STEPS = 60
+
 
 def binom_tail(k, r, z):
     """P[Bin(k, z) >= r] for z in [0, 1], broadcast over k, r and z.
@@ -156,51 +160,44 @@ def coeff_a(w, eta: int, z, p0):
     return _scalar_if(out, z)
 
 
-def phi_post(p0, xi, z, p_post=None):
+def phi_post(xi, z):
     """phi of the statistics after the intervention xi, read off one tail
-    table over z: decomposed as the baseline curve plus a linear correction
-    in the intervention masses and, when p_post = post_statistics(p0, xi) is
-    given, directly.  Returns (direct or None, decomposed); the relaxed audit
-    cross-checks the two."""
-    xi.require_base(p0)
+    table over z: directly, from xi.post, and decomposed as the baseline
+    curve plus a linear correction in the intervention masses.  Returns
+    (direct, decomposed); the relaxed audit cross-checks the two."""
+    p0 = xi.base
     moved = xi.moved()
     code, eta, masses = xi.code[moved], xi.eta[moved], xi.mass[moved]
     d, k, r = p0.d[code], p0.k[code], p0.r[code]
-    base = _Curves(p0)
-    groups = [(base.k, base.r), (k, r - eta), (k, r)]
-    if p_post is not None:
-        post = _Curves(p_post)
-        groups.append((post.k, post.r))
-    table, (at_base, lo, hi, *at_post) = _tail_table(z, *groups)
+    base, post = _Curves(p0), _Curves(xi.post)
+    table, (at_base, lo, hi, at_post) = _tail_table(
+        z, (base.k, base.r), (k, r - eta), (k, r), (post.k, post.r))
     decomposed = (table[..., at_base] @ base.link
                   + _columns(table, lo, hi, d, p0.moment("d")) @ masses)
-    direct = table[..., at_post[0]] @ post.link if at_post else None
-    return direct, decomposed
+    return table[..., at_post] @ post.link, decomposed
 
 
-def phi_decomposed(p0, xi, z):
+def phi_decomposed(xi, z):
     """phi of the post-intervention statistics written as the baseline curve
     plus a linear correction in the intervention masses; see phi_post."""
-    return _scalar_if(phi_post(p0, xi, z)[1], z)
+    return _scalar_if(phi_post(xi, z)[1], z)
 
 
-def recursion(p, t_max: int = 10_000, tol: float = 1e-12):
+def recursion(p):
     """Iterate z(t+1) = phi_p(z(t)), y(t+1) = psi_p(z(t)) from (0, 0).
 
     Returns (list of (z, y) pairs, converged flag).  The map is monotone from
     0, so z is non-decreasing and the iteration stops once the step drops
-    below tol.
+    below RECURSION_TOL, or after RECURSION_STEPS steps.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
     curves = _Curves(p)
     z, y = 0.0, 0.0
     traj = [(z, y)]
     converged = False
-    for _ in range(t_max):
+    for _ in range(RECURSION_STEPS):
         y_next, z_next = curves.psi_phi(z)
         traj.append((z_next, y_next))
-        if abs(z_next - z) < tol:
+        if abs(z_next - z) < RECURSION_TOL:
             converged = True
             break
         z, y = z_next, y_next
@@ -224,9 +221,10 @@ def derivative_bound(p0) -> float:
         return math.inf
 
 
-def psi_inverse(p, level: float, iterations: int = 60) -> float:
-    """Generalized inverse inf{z in [0,1] : psi(z) >= level} by bisection;
-    robust to plateaus since psi is non-decreasing."""
+def psi_inverse(p, level: float) -> float:
+    """Generalized inverse inf{z in [0,1] : psi(z) >= level} by
+    BISECTION_STEPS bisection steps; robust to plateaus since psi is
+    non-decreasing."""
     if not (0.0 <= level <= 1.0):
         raise ValueError("level must lie in [0, 1]")
     curves = _Curves(p)
@@ -236,7 +234,7 @@ def psi_inverse(p, level: float, iterations: int = 60) -> float:
     if curves.psi(0.0) >= level:
         return 0.0
     lo, hi = 0.0, 1.0
-    for _ in range(iterations):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if curves.psi(mid) >= level:
             hi = mid

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lp, meanfield
 from .typestats import (Statistics, StatIntervention, intervention_cost,
-                        intervention_to_records, post_statistics)
+                        intervention_to_records)
 
 
 class PlannerError(ValueError):
@@ -158,31 +158,23 @@ class AuditReport:
         return self.margin > 0.0
 
 
-def audit_original(p0: Statistics, xi: StatIntervention, eps: float,
-                   m: int, p_post: Statistics | None = None) -> AuditReport:
+def audit_original(xi: StatIntervention, eps: float, m: int) -> AuditReport:
     """Check the un-relaxed constraint: the post-intervention curve must stay
-    strictly above the diagonal up to psi^{-1}(1 - eps).  p_post, if given,
-    is post_statistics(p0, xi)."""
-    if p_post is None:
-        p_post = post_statistics(p0, xi)
-    zmax = meanfield.psi_inverse(p_post, 1.0 - eps)
+    strictly above the diagonal up to psi^{-1}(1 - eps)."""
+    zmax = meanfield.psi_inverse(xi.post, 1.0 - eps)
     zs = np.linspace(0.0, zmax, m + 1)
-    margins = meanfield.phi(p_post, zs) - zs
+    margins = meanfield.phi(xi.post, zs) - zs
     i = int(np.argmin(margins))
     return AuditReport(zmax, float(margins[i]), float(zs[i]))
 
 
-def audit_relaxed(p0: Statistics, xi: StatIntervention, eps: float,
-                  m: int, p_post: Statistics | None = None) -> AuditReport:
+def audit_relaxed(xi: StatIntervention, eps: float, m: int) -> AuditReport:
     """Check the relaxed constraint on the fixed domain [0, 1 - alpha],
     cross-checking the decomposed curve against a direct evaluation; both
-    are read off one tail table.  p_post, if given, is
-    post_statistics(p0, xi)."""
-    alpha = alpha_eps(p0, eps)
+    are read off one tail table."""
+    alpha = alpha_eps(xi.base, eps)
     zs = np.linspace(0.0, 1.0 - alpha, m + 1)
-    if p_post is None:
-        p_post = post_statistics(p0, xi)
-    direct, decomposed = meanfield.phi_post(p0, xi, zs, p_post)
+    direct, decomposed = meanfield.phi_post(xi, zs)
     mismatch = float(np.max(np.abs(direct - decomposed)))
     if mismatch > 1e-8:
         raise PlannerError("decomposition cross-check failed: %g" % mismatch)
@@ -194,7 +186,6 @@ def audit_relaxed(p0: Statistics, xi: StatIntervention, eps: float,
 @dataclass(frozen=True)
 class PlanResult:
     xi: StatIntervention
-    post: Statistics             # post_statistics(p0, xi), built once per plan
     cost: float
     alpha: float
     delta_used: float
@@ -265,11 +256,10 @@ def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
     lift = model.rows[: n_grid + 1] @ sol.x if len(columns) else np.zeros(n_grid + 1)
     grid_margin = float(np.min(lift - model.rhs[: n_grid + 1]))
     m = cfg.audit_points
-    post = post_statistics(p0, xi)
-    relaxed = audit_relaxed(p0, xi, cfg.eps, m, post)
-    original = audit_original(p0, xi, cfg.eps, m, post)
+    relaxed = audit_relaxed(xi, cfg.eps, m)
+    original = audit_original(xi, cfg.eps, m)
     return PlanResult(
-        xi=xi, post=post, cost=cost, alpha=alpha, delta_used=delta,
+        xi=xi, cost=cost, alpha=alpha, delta_used=delta,
         delta_guarantee=delta_guar,
         guarantee_regime=delta >= delta_guar - 1e-15,
         grid_margin=grid_margin, relaxed_audit=relaxed, original_audit=original,

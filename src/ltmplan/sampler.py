@@ -28,8 +28,7 @@ import numpy as np
 
 from .graph import MultiGraph, ltm_trajectory
 from .meanfield import recursion
-from .typestats import (Statistics, StatIntervention, check_well_posed,
-                        post_statistics)
+from .typestats import Statistics, StatIntervention, check_well_posed
 
 log = logging.getLogger(__name__)
 
@@ -165,17 +164,16 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
         "budget" % (max_retries, acceptance, loops))
 
 
-def realize_intervention(p: Statistics, type_of, rho, xi: StatIntervention,
+def realize_intervention(type_of, rho, xi: StatIntervention,
                          seed=None) -> np.ndarray:
     """Turn a statistical intervention into per-node threshold reductions on a
-    concrete network whose node i has type p.types()[type_of[i]].
+    concrete network whose node i has type xi.base.types()[type_of[i]].
 
-    xi (on p) is rounded to node counts per entry on len(type_of) nodes; for
+    xi is rounded to node counts per entry on len(type_of) nodes; for
     each count with eta >= 1, in (type, eta) order, that many nodes of the
     type not yet picked are drawn uniformly without replacement and reduced
     by eta.  Returns the per-node reductions h.
     """
-    xi.require_base(p)
     rng = np.random.default_rng(seed)
     type_of = np.asarray(type_of)
     counts = round_intervention(xi, type_of.size, seed=rng)
@@ -187,7 +185,7 @@ def realize_intervention(p: Statistics, type_of, rho, xi: StatIntervention,
         pool = pools[code] if code in pools else np.flatnonzero(type_of == code)
         if c > pool.size:
             raise SamplerError("intervention asks for %d nodes of type %s, only %d "
-                               "available" % (c, p.types()[code].label, pool.size))
+                               "available" % (c, xi.base.types()[code].label, pool.size))
         chosen = rng.choice(pool.size, size=c, replace=False)
         h[pool[chosen]] = eta
         pools[code] = np.delete(pool, chosen)
@@ -242,54 +240,45 @@ class McReport:
         }
 
 
-def _padded(values: np.ndarray, length: int) -> np.ndarray:
-    """Extend a converged trajectory by repeating its terminal value."""
-    if values.size >= length:
-        return values[:length]
-    return np.concatenate([values, np.full(length - values.size, values[-1])])
-
-
-def monte_carlo_validate(p0: Statistics, xi: StatIntervention, n: int,
-                         replicates: int, eps: float, seed=None) -> McReport:
-    """Sample networks from the post-intervention statistics, run the cascade
-    from all-zeros, and compare against the mean-field recursion.
+def monte_carlo_validate(xi: StatIntervention, n: int, replicates: int,
+                         eps: float, seed=None) -> McReport:
+    """Sample networks from the post-intervention statistics xi.post, run the
+    cascade from all-zeros, and compare against the mean-field recursion.
 
     Success per replicate means the final active fraction reaches 1 - eps.
     Replicates use independent child seeds and merge deterministically.
     """
-    p_post = post_statistics(p0, xi)
-    rec, _ = recursion(p_post)
-    rec_z = np.array([z for z, _ in rec])
-    rec_y = np.array([y for _, y in rec])
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1, got %d" % replicates)
+    post = xi.post
+    rec, _ = recursion(post)
     # the recursion output lags one step: y(t+1) = psi(z(t)); align by index
+    mean_field = np.array(rec).T[::-1]      # rows y(t), z(t)
+    sup = np.zeros(2)
     finals = []
-    sup_y = 0.0
-    sup_z = 0.0
     attempts = []
     trajectories = []
-    seeds = np.random.SeedSequence(seed).spawn(max(replicates, 1))
-    for rep in range(replicates):
-        rng_seed = seeds[rep]
-        g, rho, _, info = sample_configuration_model(p_post, n, seed=rng_seed)
+    for rng_seed in np.random.SeedSequence(seed).spawn(replicates):
+        g, rho, _, info = sample_configuration_model(post, n, seed=rng_seed)
         attempts.append(info.attempts)
         ys, zs, _ = cascade_fractions(g, rho)
         trajectories.append((ys, zs))
         finals.append(float(ys[-1]))
-        horizon = max(ys.size, rec_y.size)
-        sup_y = max(sup_y, float(np.max(np.abs(_padded(ys, horizon)
-                                               - _padded(rec_y, horizon)))))
-        sup_z = max(sup_z, float(np.max(np.abs(_padded(zs, horizon)
-                                               - _padded(rec_z, horizon)))))
+        # the shorter trajectory holds its last value
+        horizon = max(ys.size, len(rec))
+        network = np.pad([ys, zs], ((0, 0), (0, horizon - ys.size)), mode="edge")
+        predicted = np.pad(mean_field, ((0, 0), (0, horizon - len(rec))), mode="edge")
+        sup = np.maximum(sup, np.max(np.abs(network - predicted), axis=1))
     finals = np.array(finals)
-    success = float(np.mean(finals >= 1.0 - eps)) if replicates else 0.0
     return McReport(
-        replicates=replicates, final_fractions=finals, success_rate=success,
-        sup_dev_y=sup_y, sup_dev_z=sup_z,
+        replicates=replicates, final_fractions=finals,
+        success_rate=float(np.mean(finals >= 1.0 - eps)),
+        sup_dev_y=float(sup[0]), sup_dev_z=float(sup[1]),
         network_trajectories=trajectories,
-        recursion_trajectory=list(zip(rec_z, rec_y)),
-        nu=p_post.nu(),
-        mean_attempts=float(np.mean(attempts)) if attempts else 0.0,
+        recursion_trajectory=rec,
+        nu=post.nu(),
+        mean_attempts=float(np.mean(attempts)),
         attempts=attempts,
-        predicted_acceptance=math.exp(-_expected_loops(p_post)),
+        predicted_acceptance=math.exp(-_expected_loops(post)),
         seed=seed,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,7 +149,9 @@ class StatIntervention:
     """Mass moved from each type of `base` down by eta = 0..r_w threshold
     units: aligned read-only arrays `code` (into base.types()), `eta` and
     `mass`, sorted by (code, eta), without zero masses.  Checked once, here:
-    per type of the table, the masses over eta sum to its mass in base."""
+    per type of the table, the masses over eta sum to its mass in base.
+    Everything computed from an intervention reads its base and its
+    post-intervention statistics off it: `base` and `post`."""
 
     def __init__(self, base: Statistics, code, eta, mass):
         code, eta = (np.asarray(v, dtype=np.int64).reshape(-1) for v in (code, eta))
@@ -181,9 +184,10 @@ class StatIntervention:
         """Mask of the entries that move positive mass, eta >= 1."""
         return (self.eta > 0) & (self.mass > 0.0)
 
-    def require_base(self, p0: Statistics):
-        if self.base is not p0:
-            raise StatsError("intervention was built on other statistics")
+    @cached_property
+    def post(self) -> Statistics:
+        """The statistics after this intervention, built on first use."""
+        return post_statistics(self)
 
     @staticmethod
     def from_masses(base: Statistics, masses: dict) -> "StatIntervention":
@@ -208,13 +212,12 @@ def null_intervention(p0: Statistics) -> StatIntervention:
     return StatIntervention(p0, np.arange(p0.m.size), np.zeros(p0.m.size), p0.m)
 
 
-def post_statistics(p0: Statistics, xi: StatIntervention) -> Statistics:
-    """Statistics after applying xi: each reduced slice of a type becomes the
-    corresponding lower-threshold type.  Total mass and the d/k first moments
-    are conserved exactly."""
-    xi.require_base(p0)
-    types = p0.types()
-    out: dict[AgentType, float] = dict(p0.masses)
+def post_statistics(xi: StatIntervention) -> Statistics:
+    """Statistics after applying xi to its base: each reduced slice of a type
+    becomes the corresponding lower-threshold type.  Total mass and the d/k
+    first moments are conserved exactly.  `xi.post` holds the result."""
+    types = xi.base.types()
+    out: dict[AgentType, float] = dict(xi.base.masses)
     for i in np.flatnonzero(xi.moved()).tolist():
         w, m = types[xi.code[i]], float(xi.mass[i])
         out[w] = out.get(w, 0.0) - m

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ltmplan import typestats
 from ltmplan.typestats import AgentType, Statistics, StatIntervention
 
 
@@ -37,6 +38,20 @@ def random_intervention(rng, p0):
         for eta, m in enumerate(split):
             masses[(w, eta)] = float(m)
     return StatIntervention.from_masses(p0, masses)
+
+
+@pytest.fixture
+def post_calls(monkeypatch):
+    """The interventions `typestats.post_statistics` is called on, in order,
+    while the test runs."""
+    calls = []
+    build = typestats.post_statistics
+
+    def counted(xi):
+        calls.append(xi)
+        return build(xi)
+    monkeypatch.setattr(typestats, "post_statistics", counted)
+    return calls
 
 
 @pytest.fixture

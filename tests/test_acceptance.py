@@ -56,8 +56,8 @@ def test_criterion_02_decomposition_identity():
     for _ in range(100):
         p0 = random_statistics(rng, max_types=10, k_max=8)
         xi = random_intervention(rng, p0)
-        direct = phi(post_statistics(p0, xi), zs)
-        decomposed = phi_decomposed(p0, xi, zs)
+        direct = phi(post_statistics(xi), zs)
+        decomposed = phi_decomposed(xi, zs)
         worst = max(worst, float(np.max(np.abs(direct - decomposed))))
     report(2, worst <= 1e-10,
            "max decomposition mismatch %.3g (<=1e-10) over 100 instances" % worst)
@@ -71,7 +71,7 @@ def test_criterion_03_derivative_bound():
         p0 = random_statistics(rng, max_types=6, k_max=6)
         xi = random_intervention(rng, p0)
         bound = meanfield.derivative_bound(p0)
-        vals = phi(post_statistics(p0, xi), zs) - zs
+        vals = phi(post_statistics(xi), zs) - zs
         slopes = np.abs(vals[2:] - vals[:-2]) / (zs[2] - zs[0])
         worst_excess = max(worst_excess, float(np.max(slopes)) - bound)
     report(3, worst_excess <= 1e-6,
@@ -95,7 +95,7 @@ def test_criterion_04_guarantee_scale_feasibility():
     for p0, cfg in _guarantee_instances(104, 20):
         res = plan(p0, cfg)
         assert res.guarantee_regime
-        audit = audit_original(p0, res.xi, cfg.eps, 10 * cfg.grid_n)
+        audit = audit_original(res.xi, cfg.eps, 10 * cfg.grid_n)
         margins.append(audit.margin)
     ok = all(m > 0.0 for m in margins)
     report(4, ok, "fine-grid original-constraint margins all positive "
@@ -124,7 +124,7 @@ def test_criterion_06_monte_carlo_tracks_mean_field():
                      AgentType(4, 4, 2, lin(2)): 0.4,
                      AgentType(4, 4, 3, lin(3)): 0.3})
     res = plan(p0, PlannerConfig(eps=0.1, grid_n=100, delta=0.05))
-    rep = monte_carlo_validate(p0, res.xi, n=100_000, replicates=20,
+    rep = monte_carlo_validate(res.xi, n=100_000, replicates=20,
                                eps=0.1, seed=106)
     ok = (rep.success_rate >= 0.95 and rep.sup_dev_y <= 0.02
           and rep.sup_dev_z <= 0.02)

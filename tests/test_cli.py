@@ -76,6 +76,25 @@ def test_validate_monte_carlo(tmp_path):
     assert header.strip() == "t,Y,Z,y_recursion,z_recursion"
 
 
+def test_post_statistics_built_once_per_stage(tmp_path, post_calls):
+    # one intervention per plan, realized run or Monte Carlo run, and its
+    # post-intervention statistics built once for every use
+    stats = run_stats(tmp_path)
+    plan_path = run_plan(tmp_path, stats)
+    assert len(post_calls) == 1
+    validate = ["validate", "--statistics", stats, "--plan", plan_path,
+                "--eps", "0.1", "--seed", "3", "--out", str(tmp_path / "v")]
+    assert main(validate + ["--mc-n", "2000", "--replicates", "2"]) == EXIT_OK
+    assert len(post_calls) == 2
+    assert main(validate + ["--edges", DATA, "--undirected"]) == EXIT_OK
+    assert len(post_calls) == 3
+    assert main(["experiment", "--edges", DATA, "--undirected",
+                 "--threshold-rule", "uniform-random", "--instances", "2",
+                 "--eps", "0.3", "--grid-n", "50", "--seed", "5",
+                 "--out", str(tmp_path / "exp")]) == EXIT_OK
+    assert len(post_calls) == 5
+
+
 def test_validate_realize(tmp_path):
     stats = run_stats(tmp_path)
     plan_path = run_plan(tmp_path, stats)
@@ -252,6 +271,21 @@ def test_bad_env_value_is_usage_error(tmp_path, monkeypatch, name, value):
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--statistics", stats, "--out", str(tmp_path / "x")])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--edges", DATA, "--instances", "0"],
+    ["experiment", "--edges", DATA, "--instances", "-2"],
+    ["validate", "--statistics", "s.json", "--plan", "p.json", "--replicates", "-1"],
+], ids=["instances0", "instances-2", "replicates-1"])
+def test_count_below_one_is_usage_error(tmp_path, capsys, argv):
+    # a count below 1 would average over nothing: NaN means in the output
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1 and "must be >= 1" in errors[0], errors
+    assert not os.path.exists(tmp_path / "x")
 
 
 def test_experiment_exit_code_is_failing_stage(tmp_path, capsys):

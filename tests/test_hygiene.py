@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or of the test suite imports a
-name it never uses.  The package's `__init__.py` is left out, since its
-imports are the public re-exports."""
+name it never uses, and the package defines no private function, method or
+class that it never refers to.  The package's `__init__.py` is left out of
+the import check, since its imports are the public re-exports."""
 
 import ast
 import glob
@@ -9,9 +10,9 @@ import os
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "ltmplan", "*.py")))
 SOURCES = sorted(
-    [p for p in glob.glob(os.path.join(ROOT, "src", "ltmplan", "*.py"))
-     if os.path.basename(p) != "__init__.py"]
+    [p for p in PACKAGE if os.path.basename(p) != "__init__.py"]
     + glob.glob(os.path.join(ROOT, "tests", "*.py")))
 
 
@@ -38,3 +39,35 @@ def test_scan_finds_unused_import():
 def test_no_unused_imports(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unused_private_defs(sources: dict):
+    """(file, line, name) of every private (_name, not __dunder__) function,
+    method or class defined in the {file: source} modules whose name no
+    expression of any of them reads, as a name or as an attribute."""
+    defined, used = [], set()
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")):
+                defined.append((path, node.lineno, node.name))
+    return [d for d in defined if d[2] not in used]
+
+
+def test_scan_finds_unused_private_defs():
+    sources = {"a.py": "def _a(): pass\ndef _b(): pass\nclass _C:\n"
+                       "    def _m(self): pass\n    def __init__(self): _b()\n",
+               "b.py": "from a import _C\n_C()._n()\nclass D:\n    def _n(self): pass\n"}
+    assert unused_private_defs(sources) == [("a.py", 1, "_a"), ("a.py", 4, "_m")]
+
+
+def test_no_unused_private_defs():
+    sources = {}
+    for path in PACKAGE:
+        with open(path) as fh:
+            sources[os.path.relpath(path, ROOT)] = fh.read()
+    assert unused_private_defs(sources) == []

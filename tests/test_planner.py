@@ -11,9 +11,9 @@ from ltmplan.graph import MultiGraph
 from ltmplan.planner import (PlannerConfig, PlannerError, alpha_eps,
                              audit_original, audit_relaxed, build_lp, delta_n,
                              plan, solution_to_intervention)
-from ltmplan.typestats import (AgentType, Statistics, cost_rule,
-                               extract_statistics, intervention_cost,
-                               threshold_rule)
+from ltmplan.typestats import (AgentType, Statistics, StatIntervention,
+                               cost_rule, extract_statistics,
+                               intervention_cost, threshold_rule)
 
 
 def mixed_quartic():
@@ -232,8 +232,8 @@ def test_audits_flag_inadequate_intervention():
     p0 = mixed_quartic()
     from ltmplan.typestats import null_intervention
     xi = null_intervention(p0)
-    rel = audit_relaxed(p0, xi, 0.1, 200)
-    orig = audit_original(p0, xi, 0.1, 200)
+    rel = audit_relaxed(xi, 0.1, 200)
+    orig = audit_original(xi, 0.1, 200)
     # without seeded mass the curve starts on the diagonal at z = 0, so the
     # strict-margin requirement already fails there
     assert not rel.ok and rel.margin <= 0.0
@@ -244,36 +244,40 @@ def test_audits_flag_inadequate_intervention():
     (mixed_quartic(), PlannerConfig(eps=0.1, grid_n=100, delta=0.05)),
     (powergrid_instance(), PlannerConfig(eps=0.3, grid_n=100, delta=0.05)),
 ], ids=["criterion6", "powergrid"])
-def test_audits_share_post_statistics(p0, cfg):
-    # plan() builds the post-intervention statistics once for both audits;
-    # the audits must read the same as stand-alone calls, and the curve the
-    # relaxed audit reads off its table must be phi of those statistics
+def test_audits_share_post_statistics(p0, cfg, post_calls):
+    # both audits read the post-intervention statistics off the plan's
+    # intervention, built once per intervention; stand-alone calls, on it
+    # and on a fresh copy that builds its own, must read the same, and the
+    # curve the relaxed audit reads off its table must be phi of those
+    # statistics
     res = plan(p0, cfg)
+    assert post_calls == [res.xi]
+    post = res.xi.post
     m = cfg.audit_points
+    fresh = StatIntervention(p0, res.xi.code, res.xi.eta, res.xi.mass)
     for audit, report in ((audit_relaxed, res.relaxed_audit),
                           (audit_original, res.original_audit)):
-        for got in (audit(p0, res.xi, cfg.eps, m, res.post),
-                    audit(p0, res.xi, cfg.eps, m)):
+        for got in (audit(res.xi, cfg.eps, m), audit(fresh, cfg.eps, m)):
             assert got.zmax == pytest.approx(report.zmax, abs=1e-12)
             assert got.margin == pytest.approx(report.margin, abs=1e-12)
             assert got.argmin_z == pytest.approx(report.argmin_z, abs=1e-12)
+    assert post_calls == [res.xi, fresh]
+    assert res.xi.post is post and fresh.post is not post
     zs = np.linspace(0.0, 1.0 - res.alpha, m + 1)
-    direct = meanfield.phi(res.post, zs)
-    assert np.max(np.abs(direct - meanfield.phi_decomposed(p0, res.xi, zs))) < 1e-12
+    direct = meanfield.phi(post, zs)
+    assert np.max(np.abs(direct - meanfield.phi_decomposed(res.xi, zs))) < 1e-12
     assert res.relaxed_audit.margin == pytest.approx(np.min(direct - zs), abs=1e-12)
     assert res.relaxed_audit.margin > 0.0
 
 
 def test_audit_cross_check_fires(monkeypatch):
     # a corrupted coefficient path makes the decomposed curve disagree with
-    # the direct one, shared table or not
-    p0 = mixed_quartic()
-    res = plan(p0, PlannerConfig(eps=0.1, grid_n=100, delta=0.05))
+    # the direct one read off the same table
+    res = plan(mixed_quartic(), PlannerConfig(eps=0.1, grid_n=100, delta=0.05))
     columns = meanfield._columns
     monkeypatch.setattr(meanfield, "_columns", lambda *a: 1.001 * columns(*a))
-    for post in (res.post, None):
-        with pytest.raises(PlannerError, match="cross-check"):
-            audit_relaxed(p0, res.xi, 0.1, 1000, post)
+    with pytest.raises(PlannerError, match="cross-check"):
+        audit_relaxed(res.xi, 0.1, 1000)
 
 
 def test_plan_to_dict_is_json_ready():

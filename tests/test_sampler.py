@@ -185,7 +185,7 @@ def test_realize_intervention():
     w = AgentType(2, 2, 2, lin(2))
     xi = StatIntervention.from_masses(p, {(w, 0): 0.3, (w, 1): 0.1, (w, 2): 0.1,
                                           (AgentType(3, 3, 1, lin(1)), 0): 0.5})
-    h = realize_intervention(p, type_of, rho, xi, seed=12)
+    h = realize_intervention(type_of, rho, xi, seed=12)
     assert np.all(h <= rho) and np.all(h >= 0)
     reduced = {eta: 0 for eta in (1, 2)}
     for i in range(g.n):
@@ -203,7 +203,7 @@ def test_realize_intervention_rejects_missing_nodes():
     xi = StatIntervention.from_masses(p, {(first, 0): 0.5, (second, 1): 0.5})
     type_of = np.zeros(10, dtype=np.int64)
     with pytest.raises(SamplerError, match=r"type \(d=3, k=3, r=1\), only 0 available"):
-        realize_intervention(p, type_of, np.full(10, 2), xi, seed=14)
+        realize_intervention(type_of, np.full(10, 2), xi, seed=14)
 
 
 def test_cascade_fractions(path3):
@@ -217,7 +217,7 @@ def test_cascade_fractions(path3):
 def test_monte_carlo_tracks_recursion():
     p0 = Statistics({AgentType(3, 3, 0, (0.0,)): 0.2,
                      AgentType(3, 3, 1, lin(1)): 0.8})
-    rep = monte_carlo_validate(p0, null_intervention(p0), n=20_000,
+    rep = monte_carlo_validate(null_intervention(p0), n=20_000,
                                replicates=3, eps=0.1, seed=15)
     assert rep.replicates == 3
     assert rep.success_rate == 1.0
@@ -233,7 +233,10 @@ def test_monte_carlo_tracks_recursion():
 def test_monte_carlo_detects_failure():
     # thresholds at the out-degree: nothing ever activates
     p0 = Statistics({AgentType(3, 3, 3, lin(3)): 1.0})
-    rep = monte_carlo_validate(p0, null_intervention(p0), n=2_000,
+    rep = monte_carlo_validate(null_intervention(p0), n=2_000,
                                replicates=2, eps=0.1, seed=16)
     assert rep.success_rate == 0.0
     assert np.all(rep.final_fractions == 0.0)
+    # no replicates would leave the success rate undefined
+    with pytest.raises(ValueError, match="replicates"):
+        monte_carlo_validate(null_intervention(p0), n=2_000, replicates=0, eps=0.1)
