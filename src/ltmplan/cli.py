@@ -50,6 +50,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one line, as every other
+    failure does, and exit with EXIT_USAGE."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, "usage error: %s\n" % message)
+
+
 # message prefix per failure type; main reports any other error as "input"
 FAILURE_KINDS = ((UsageError, "usage"), (GraphError, "graph"),
                  (StatsError, "statistics"), (PlannerError, "planner"),
@@ -311,7 +319,7 @@ def _env_defaults(p):
 def build_parser(preset=None):
     """Flag defaults by rising precedence: built in, LTMPLAN_<DEST>, the
     value `preset` gives; a flag given on the command line beats all three."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ltmplan",
         description="Least-cost threshold-reduction planning for linear "
                     "threshold cascades")

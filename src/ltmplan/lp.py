@@ -6,17 +6,38 @@ but every reported optimum is re-certified here: primal residuals are
 recomputed from scratch and a dual bound is assembled from the returned
 multipliers.  A solve that cannot be certified is reported as a failure,
 never as a silent wrong answer.
+
+HiGHS runs first unscaled and without presolve, which is faster on the
+planner's small dense LPs: presolve only removes their singleton budget
+rows, and scaling doubles the simplex iterations.  That answer stands only
+when it is a certified optimum.  Anything else is solved again with HiGHS's
+defaults, whose outcome is reported: without presolve HiGHS often ends an
+infeasible LP in status "Unknown", and a scipy that drops the scaling option
+runs the first solve scaled, which does not always certify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+import time
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 FEAS_TOL = 1e-9
 GAP_TOL = 1e-8
+
+# (name, HiGHS options) in the order tried; the last one's outcome stands
+CONFIGURATIONS = (
+    ("unscaled, no presolve", {"presolve": False, "simplex_scale_strategy": 0}),
+    ("HiGHS defaults", {}),
+)
+TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
+              "dual_feasibility_tolerance": 1e-10}
+
+log = logging.getLogger(__name__)
 
 GE = ">="
 LE = "<="
@@ -74,8 +95,9 @@ class LpSolution:
     objective: float | None
     max_violation: float | None
     dual_gap: float | None
-    iterations: int
+    iterations: int           # over every HiGHS solve made
     message: str = ""
+    configuration: str | None = None  # CONFIGURATIONS name that answered
 
 
 def check_solution(model: LpModel, x) -> tuple[float, float]:
@@ -124,11 +146,37 @@ def solve(model: LpModel) -> LpSolution:
     a_ub, b_ub = _to_ub_form(model)
     bounds = list(zip(model.lower, [u if np.isfinite(u) else None
                                     for u in model.upper]))
-    res = linprog(model.objective, A_ub=a_ub if model.num_rows else None,
-                  b_ub=b_ub if model.num_rows else None,
-                  bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    start = time.perf_counter()
+    iterations = 0
+    for name, options in CONFIGURATIONS:
+        sol = _certify(model, b_ub, _highs(model, a_ub, b_ub, bounds, options))
+        iterations += sol.iterations
+        if sol.status == "optimal":
+            break
+    sol = replace(sol, iterations=iterations, configuration=name)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("LP %d x %d, %d non-zeros: %s after %d iterations (%s), %.3f s",
+                  model.num_rows, model.num_vars, np.count_nonzero(model.rows),
+                  sol.status, iterations, name, time.perf_counter() - start)
+    return sol
+
+
+def _highs(model: LpModel, a_ub, b_ub, bounds, options: dict):
+    """linprog's HiGHS result for the model in A x <= b form under `options`."""
+    with warnings.catch_warnings():
+        # scipy passes HiGHS options it does not know, such as the scaling
+        # strategy, on verbatim and warns that it does
+        warnings.filterwarnings("ignore", "Unrecognized options",
+                                OptimizeWarning)
+        return linprog(model.objective, A_ub=a_ub if model.num_rows else None,
+                       b_ub=b_ub if model.num_rows else None,
+                       bounds=bounds, method="highs",
+                       options={**TOLERANCES, **options})
+
+
+def _certify(model: LpModel, b_ub, res) -> LpSolution:
+    """The solution linprog's result `res` reports, with an optimum kept only
+    when its residuals and dual bound check out here."""
     iters = int(getattr(res, "nit", 0) or 0)
     if res.status == 2:
         return LpSolution("infeasible", None, None, None, None, iters, res.message)

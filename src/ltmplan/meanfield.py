@@ -18,6 +18,7 @@ from scipy import special as sc
 RECURSION_STEPS = 10_000
 RECURSION_TOL = 1e-12
 BISECTION_STEPS = 60
+Z_SLACK = 1e-15   # rounding allowed outside [0, 1] before z is clipped
 
 
 def binom_tail(k, r, z):
@@ -43,7 +44,7 @@ def _tail_params(k, r):
 def _unit(z) -> np.ndarray:
     """z as a float array, checked to lie in [0, 1] up to rounding."""
     z = np.asarray(z, dtype=float)
-    if z.size and (z.min() < -1e-15 or z.max() > 1 + 1e-15):
+    if z.size and (z.min() < -Z_SLACK or z.max() > 1 + Z_SLACK):
         raise ValueError("z outside [0, 1]")
     return np.clip(z, 0.0, 1.0)
 
@@ -93,6 +94,12 @@ class _Curves:
         return self._link
 
     def tails(self, z) -> np.ndarray:
+        if isinstance(z, float):
+            # the bisection and recursion steps: _unit's check and clip in
+            # plain Python, which costs far less than on a 0-d array
+            if z < -Z_SLACK or z > 1 + Z_SLACK:
+                raise ValueError("z outside [0, 1]")
+            return _tail(self._params, min(max(z, 0.0), 1.0))
         return _tail(self._params, _unit(z)[..., None])
 
     def psi(self, z):

@@ -197,6 +197,7 @@ class PlanResult:
     lp_status: str
     lp_iterations: int
     lp_gap: float
+    lp_configuration: str | None
     config: PlannerConfig
 
     def to_dict(self):
@@ -222,7 +223,7 @@ class PlanResult:
                 "zmax": self.original_audit.zmax,
             },
             "lp": {"status": self.lp_status, "iterations": self.lp_iterations,
-                   "gap": self.lp_gap},
+                   "gap": self.lp_gap, "configuration": self.lp_configuration},
         }
 
 
@@ -265,5 +266,5 @@ def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
         grid_margin=grid_margin, relaxed_audit=relaxed, original_audit=original,
         lp_status=sol.status, lp_iterations=sol.iterations,
         lp_gap=sol.dual_gap if sol.dual_gap is not None else float("nan"),
-        config=cfg,
+        lp_configuration=sol.configuration, config=cfg,
     )

@@ -53,6 +53,7 @@ def test_plan(tmp_path):
     plan_path = run_plan(tmp_path, stats)
     doc = json.load(open(plan_path))
     assert doc["lp"]["status"] == "optimal"
+    assert doc["lp"]["configuration"] == "unscaled, no presolve"
     assert doc["cost"] > 0.0
     assert doc["audit"]["original_margin"] > 0.0
     plan_dir = os.path.dirname(plan_path)
@@ -265,26 +266,30 @@ def test_exit_code_validate_mismatch(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, value", [("LTMPLAN_EPS", "abc"),
                                          ("LTMPLAN_ETA_MODE", "none")])
-def test_bad_env_value_is_usage_error(tmp_path, monkeypatch, name, value):
+def test_bad_env_value_is_usage_error(tmp_path, capsys, monkeypatch, name, value):
     stats = run_stats(tmp_path)
     monkeypatch.setenv(name, value)
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--statistics", stats, "--out", str(tmp_path / "x")])
     assert exc.value.code == EXIT_USAGE
+    assert_one_line(capsys, "usage error:")
 
 
-@pytest.mark.parametrize("argv", [
-    ["experiment", "--edges", DATA, "--instances", "0"],
-    ["experiment", "--edges", DATA, "--instances", "-2"],
-    ["validate", "--statistics", "s.json", "--plan", "p.json", "--replicates", "-1"],
-], ids=["instances0", "instances-2", "replicates-1"])
-def test_count_below_one_is_usage_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("env, argv", [
+    ({}, ["experiment", "--edges", DATA, "--instances", "0"]),
+    ({}, ["experiment", "--edges", DATA, "--instances", "-2"]),
+    ({}, ["validate", "--statistics", "s.json", "--plan", "p.json", "--replicates", "-1"]),
+    ({"LTMPLAN_REPLICATES": "-1"}, ["validate", "--statistics", "s.json", "--plan", "p.json"]),
+], ids=["instances0", "instances-2", "replicates-1", "env-replicates-1"])
+def test_count_below_one_is_usage_error(tmp_path, capsys, monkeypatch, env, argv):
     # a count below 1 would average over nothing: NaN means in the output
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "x")])
     assert exc.value.code == EXIT_USAGE
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-    assert len(errors) == 1 and "must be >= 1" in errors[0], errors
+    assert "must be >= 1" in assert_one_line(capsys, "usage error: argument --")
     assert not os.path.exists(tmp_path / "x")
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import binom
 
 from conftest import lin, random_intervention, random_statistics
+from ltmplan import meanfield
 from ltmplan.meanfield import (binom_tail, coeff_a, derivative_bound,
                                dump_curves, phi, phi_decomposed, psi,
                                psi_inverse, recursion)
@@ -88,6 +89,22 @@ def test_grid_matches_scalar():
             np.array([psi(p, z) for z in zs]), abs=1e-13)
         assert phi(p, zs) == pytest.approx(
             np.array([phi(p, z) for z in zs]), abs=1e-13)
+
+
+def test_float_tails_match_array_tails():
+    # a Python float z is checked and clipped without numpy; the tails must
+    # be those of the same z as a 0-d array, bit for bit
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        curves = meanfield._Curves(random_statistics(rng, k_max=40))
+        for z in [0.0, 1.0, -1e-15, 1 + 1e-15, -0.0, 5e-324, *rng.random(20)]:
+            fast, ref = curves.tails(float(z)), curves.tails(np.asarray(z))
+            assert fast.shape == ref.shape and np.array_equal(fast, ref), z
+        for z in (-2e-15, 1 + 3e-15, -0.5, 2.0):
+            with pytest.raises(ValueError, match="outside"):
+                curves.tails(z)
+            with pytest.raises(ValueError, match="outside"):
+                curves.tails(np.asarray(z))
 
 
 def test_coeff_a_worked_example():
