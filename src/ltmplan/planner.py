@@ -37,6 +37,8 @@ class PlannerConfig:
             raise PlannerError("eps must lie in (0, 1]")
         if self.grid_n < 1:
             raise PlannerError("grid size N must be >= 1")
+        if self.fine_m is not None and self.fine_m < 1:
+            raise PlannerError("audit grid size M must be >= 1")
         if self.delta != "auto" and float(self.delta) <= 0.0:
             raise PlannerError("Delta must be positive or 'auto'")
         if self.eta_mode not in ("full", "seed-only"):
@@ -71,17 +73,20 @@ def delta_n(p0: Statistics, eps: float, grid_n: int) -> float:
     return (1.0 - alpha) / (2.0 * grid_n) * meanfield.derivative_bound(p0)
 
 
-def _margins(p0: Statistics, cfg: PlannerConfig):
-    """(Delta used, guarantee value Delta_N); 'auto' needs a finite Delta_N."""
+def _grid_and_margins(p0: Statistics, cfg: PlannerConfig):
+    """(alpha, the LP's even grid of [0, 1 - alpha], Delta used, guarantee
+    value Delta_N); 'auto' needs a finite Delta_N."""
+    alpha = alpha_eps(p0, cfg.eps)
+    zs = (1.0 - alpha) * np.arange(cfg.grid_n + 1) / cfg.grid_n
     delta_guar = delta_n(p0, cfg.eps, cfg.grid_n)
     if cfg.delta != "auto":
-        return float(cfg.delta), delta_guar
+        return alpha, zs, float(cfg.delta), delta_guar
     if not math.isfinite(delta_guar):
         raise PlannerError(
             "Delta 'auto' needs the guarantee margin Delta_N, but its derivative "
             "bound overflows at k_max = %d; give an explicit Delta (empirical "
             "regime)" % p0.k_max())
-    return delta_guar, delta_guar
+    return alpha, zs, delta_guar, delta_guar
 
 
 def _variables(p0: Statistics, eta_mode: str):
@@ -108,10 +113,7 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     caps the moved mass at the type mass.
     Columns that cannot lift any grid point but cost something are pruned.
     """
-    alpha = alpha_eps(p0, cfg.eps)
-    delta, _ = _margins(p0, cfg)
-    n_grid = cfg.grid_n
-    zs = (1.0 - alpha) * np.arange(n_grid + 1) / n_grid
+    _, zs, delta, _ = _grid_and_margins(p0, cfg)
     owner, eta, cost = _variables(p0, cfg.eta_mode)
     coeffs = meanfield.coeff_matrix(p0.d[owner], p0.k[owner], p0.r[owner], eta,
                                     zs, p0.moment("d"))
@@ -127,7 +129,7 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     budget_rows[row_of, np.arange(nv)] = 1.0
     budget_rhs = p0.m[used]
     rows = np.vstack([coeffs[:, keep], budget_rows])
-    senses = (lp.GE,) * (n_grid + 1) + (lp.LE,) * used.size
+    senses = (lp.GE,) * zs.size + (lp.LE,) * used.size
     rhs = np.concatenate([grid_rhs, budget_rhs])
     model = lp.LpModel(cost[keep], rows, senses, rhs,
                        np.zeros(nv), np.full(nv, np.inf))
@@ -230,32 +232,28 @@ class PlanResult:
 def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
     """Solve the discretized program and audit the result.
 
-    Raises PlannerError on infeasibility, naming the binding grid points.
+    Seeding every type makes phi = 1, and phi <= 1 at z = 1 - alpha, so the
+    program is feasible exactly when Delta <= alpha.  A Delta above alpha by
+    more than 1e-12 relative raises PlannerError before any LP is built,
+    naming the first five grid points z with z + Delta > 1.
     """
-    alpha = alpha_eps(p0, cfg.eps)
-    delta, delta_guar = _margins(p0, cfg)
-    model, columns, zs = build_lp(p0, cfg)
-    sol = lp.solve(model)
-    if sol.status == "infeasible":
-        n_rows = cfg.grid_n + 1
-        grid, budget = model.rows[:n_rows], model.rows[n_rows:]
-        # a single row's largest lift puts each type's whole budget on that
-        # type's best column; rows that even this cannot close are reported
-        row_of = np.nonzero(budget.T)[1]    # the budget row of each column
-        best = np.zeros((budget.shape[0], n_rows))
-        np.maximum.at(best, row_of, grid.T)
-        capacity = model.rhs[n_rows:] @ best
-        worst = [float(z) for z in zs[model.rhs[:n_rows] > capacity]]
+    alpha, zs, delta, delta_guar = _grid_and_margins(p0, cfg)
+    if delta > alpha * (1.0 + 1e-12):
+        # z + Delta > 1 on a tail of zs, kept to the top point at least
+        # where rounding hides its excess
+        first = min(int(np.count_nonzero(zs + delta <= 1.0)), cfg.grid_n)
         raise PlannerError(
-            "LP infeasible: budgets cannot lift the curve above z + Delta at "
-            "grid points %s" % (worst[:5] if worst else "(degenerate)"))
+            "LP infeasible: Delta = %g exceeds alpha_eps = %g; budgets cannot "
+            "lift the curve above z + Delta at grid points %s"
+            % (delta, alpha, [float(z) for z in zs[first:first + 5]]))
+    model, columns, _ = build_lp(p0, cfg)
+    sol = lp.solve(model)
     if sol.status != "optimal":
         raise PlannerError("LP solve failed: %s (%s)" % (sol.status, sol.message))
     xi = solution_to_intervention(p0, columns, sol.x)
     cost = intervention_cost(xi)
-    n_grid = cfg.grid_n
-    lift = model.rows[: n_grid + 1] @ sol.x if len(columns) else np.zeros(n_grid + 1)
-    grid_margin = float(np.min(lift - model.rhs[: n_grid + 1]))
+    lift = model.rows[: zs.size] @ sol.x
+    grid_margin = float(np.min(lift - model.rhs[: zs.size]))
     m = cfg.audit_points
     relaxed = audit_relaxed(xi, cfg.eps, m)
     original = audit_original(xi, cfg.eps, m)
@@ -265,6 +263,6 @@ def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
         guarantee_regime=delta >= delta_guar - 1e-15,
         grid_margin=grid_margin, relaxed_audit=relaxed, original_audit=original,
         lp_status=sol.status, lp_iterations=sol.iterations,
-        lp_gap=sol.dual_gap if sol.dual_gap is not None else float("nan"),
+        lp_gap=sol.dual_gap,
         lp_configuration=sol.configuration, config=cfg,
     )

@@ -241,6 +241,16 @@ def test_exit_code_plan_input_errors(tmp_path, capsys):
         assert path in assert_one_line(capsys, "input error:")
 
 
+def test_plan_fine_m_below_one_is_plan_error(tmp_path, capsys):
+    # an audit grid of M = 0 would audit z = 0 alone and report its margin
+    stats = run_stats(tmp_path)
+    capsys.readouterr()
+    rc = main(["plan", "--statistics", stats, "--eps", "0.1", "--fine-m", "0",
+               "--out", str(tmp_path / "x")])
+    assert rc == EXIT_PLAN
+    assert "must be >= 1" in assert_one_line(capsys, "planner error:")
+
+
 def test_exit_code_validate_malformed_plan(tmp_path, capsys):
     stats = run_stats(tmp_path)
     bad = tmp_path / "plan.json"

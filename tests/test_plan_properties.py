@@ -15,6 +15,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from ltmplan.cli import EXIT_OK, EXIT_PLAN, main  # noqa: E402
+from ltmplan.planner import alpha_eps  # noqa: E402
+from ltmplan.typestats import statistics_from_records  # noqa: E402
 
 
 @st.composite
@@ -48,6 +50,14 @@ def statistics_docs(draw):
     return {"n": draw(st.one_of(st.none(), st.integers(1, 10**6))), "types": types}
 
 
+def _alpha(doc, eps):
+    """alpha_eps of a statistics document that plans can be made for, else None."""
+    try:
+        return alpha_eps(statistics_from_records(doc["types"], n=doc["n"]), eps)
+    except ValueError:
+        return None
+
+
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(doc=statistics_docs(), delta=st.sampled_from(["0.01", "0.05", "0.3"]))
 def test_plan_never_raises(doc, delta):
@@ -63,3 +73,8 @@ def test_plan_never_raises(doc, delta):
     assert rc in (EXIT_OK, EXIT_PLAN)
     assert err.getvalue().count("\n") <= 1, err.getvalue()
     assert (rc == EXIT_OK) == (err.getvalue() == "")
+    # Delta above alpha_eps is decided before any LP is solved
+    alpha = _alpha(doc, 0.3)
+    if alpha is not None and float(delta) > alpha * (1.0 + 1e-12):
+        assert rc == EXIT_PLAN and "infeasible" in err.getvalue(), err.getvalue()
+        assert "LP solve failed" not in err.getvalue()

@@ -58,6 +58,8 @@ def test_config_validation():
         PlannerConfig(eps=0.1, delta=-0.1)
     with pytest.raises(PlannerError):
         PlannerConfig(eps=0.1, eta_mode="bogus")
+    with pytest.raises(PlannerError):
+        PlannerConfig(eps=0.1, fine_m=0)
     assert PlannerConfig(eps=0.1, grid_n=50).audit_points == 500
     assert PlannerConfig(eps=0.1, fine_m=77).audit_points == 77
 
@@ -214,6 +216,41 @@ def test_plan_infeasible_reports_grid_points():
     listed = re.search(r"grid points \[(.*)\]", str(exc.value)).group(1)
     assert [float(v) for v in listed.split(",")] == pytest.approx(
         [0.81, 0.828, 0.846, 0.864, 0.882], abs=1e-12)
+
+
+def test_plan_feasible_iff_delta_within_alpha(monkeypatch):
+    # seeding every type makes phi = 1, so the LP is feasible exactly when
+    # Delta <= alpha_eps; above it plan() names the grid points with
+    # z + Delta > 1 and never calls the solver
+    solve, infeasible = lp.solve, []
+
+    def guarded(model):
+        assert not infeasible[-1], "lp.solve called with Delta > alpha_eps"
+        return solve(model)
+    monkeypatch.setattr(lp, "solve", guarded)
+    # delta_N = 0.3825 against alpha_eps = 0.1
+    cases = [(Statistics({AgentType(2, 2, 2, lin(2)): 1.0}),
+              PlannerConfig(eps=0.1, grid_n=20, delta="auto"))]
+    rng = np.random.default_rng(2026)
+    for i in range(200):
+        cases.append((random_statistics(rng, k_max=12),
+                      PlannerConfig(eps=0.5, grid_n=int(rng.integers(5, 60)),
+                                    delta=float(rng.uniform(0.005, 0.3)),
+                                    eta_mode=("full", "seed-only")[i % 2])))
+    for p0, cfg in cases:
+        alpha = alpha_eps(p0, cfg.eps)
+        delta = (delta_n(p0, cfg.eps, cfg.grid_n) if cfg.delta == "auto"
+                 else cfg.delta)
+        infeasible.append(delta > alpha)
+        if not infeasible[-1]:
+            assert plan(p0, cfg).lp_status == "optimal"
+            continue
+        with pytest.raises(PlannerError, match="infeasible") as exc:
+            plan(p0, cfg)
+        zs = (1.0 - alpha) * np.arange(cfg.grid_n + 1) / cfg.grid_n
+        listed = re.search(r"grid points \[(.*)\]", str(exc.value)).group(1)
+        assert [float(v) for v in listed.split(",")] == list(zs[zs + delta > 1.0][:5])
+    assert 0 < sum(infeasible) < len(cases)
 
 
 def test_plan_beyond_float_derivative_bound():
