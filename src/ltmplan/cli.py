@@ -183,6 +183,8 @@ def _realize_and_compare(g, type_of, rho, xi, seed, csv_path):
 
 
 def cmd_validate(args):
+    if not 0.0 < args.eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1], got %r" % args.eps)
     p0 = _load_stats_doc(args.statistics)
     plan_doc = _read_json(args.plan, "xi")
     xi = intervention_from_records(plan_doc["xi"], p0)

@@ -1,11 +1,12 @@
 """Small dense linear programs with certified solutions.
 
-The model is min c'x subject to row constraints (either sense) and box
-bounds.  Solving is delegated to scipy's HiGHS backend behind this interface,
-but every reported optimum is re-certified here: primal residuals are
-recomputed from scratch and a dual bound is assembled from the returned
-multipliers.  A solve that cannot be certified is reported as a failure,
-never as a silent wrong answer.
+The model has one form, min c'x subject to A x <= b and x >= 0, which is
+the planner's: non-negative masses, grid rows that bound the curve lift from
+below (written negated) and per-type budget rows.  Solving is delegated to
+scipy's HiGHS backend behind this interface, but every reported optimum is
+re-certified here: primal residuals are recomputed from scratch and a dual
+bound is assembled from the returned multipliers.  A solve that cannot be
+certified is reported as a failure, never as a silent wrong answer.
 
 HiGHS runs first unscaled and without presolve, which is faster on the
 planner's small dense LPs: presolve only removes their singleton budget
@@ -39,45 +40,28 @@ TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
 
 log = logging.getLogger(__name__)
 
-GE = ">="
-LE = "<="
-
 
 @dataclass(frozen=True)
 class LpModel:
-    """min objective . x  s.t.  rows, senses, rhs and lower/upper bounds."""
+    """min objective . x  s.t.  rows @ x <= rhs, x >= 0."""
 
     objective: np.ndarray
     rows: np.ndarray          # (m, n) coefficient matrix
-    senses: tuple             # per-row GE or LE
     rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
         a = np.asarray(self.rows, dtype=float)
-        # reshape(-1, 0) is ambiguous, so pin the row count for empty models
-        a = a.reshape(-1, c.size) if c.size else a.reshape(len(self.senses), 0)
         b = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if a.shape[0] != b.size or len(self.senses) != b.size:
-            raise ValueError("row/sense/rhs sizes disagree")
-        if lo.size != c.size or hi.size != c.size:
-            raise ValueError("bound sizes disagree with variable count")
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
+        if a.shape != (b.size, c.size):
+            raise ValueError("rows of shape %s do not match %d rows of %d variables"
+                             % (a.shape, b.size, c.size))
         for arr in (c, a, b):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite model coefficients")
-        if any(s not in (GE, LE) for s in self.senses):
-            raise ValueError("senses must be '>=' or '<='")
-        for name, arr in (("objective", c), ("rows", a), ("rhs", b),
-                          ("lower", lo), ("upper", hi)):
+        for name, arr in (("objective", c), ("rows", a), ("rhs", b)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "senses", tuple(self.senses))
 
     @property
     def num_vars(self) -> int:
@@ -109,26 +93,9 @@ def check_solution(model: LpModel, x) -> tuple[float, float]:
     if x.shape != (model.num_vars,):
         raise ValueError("point has %d entries, model has %d variables"
                          % (x.size, model.num_vars))
-    resid = _row_signs(model) * (model.rows @ x - model.rhs)
-    viol = float(np.max(resid, initial=0.0))
-    viol = max(viol, float(np.max(model.lower - x, initial=0.0)))
-    finite_hi = np.isfinite(model.upper)
-    if finite_hi.any():
-        viol = max(viol, float(np.max((x - model.upper)[finite_hi], initial=0.0)))
+    viol = float(np.max(model.rows @ x - model.rhs, initial=0.0))
+    viol = max(viol, float(np.max(-x, initial=0.0)))
     return viol, float(model.objective @ x)
-
-
-def _row_signs(model: LpModel) -> np.ndarray:
-    """+1 for LE rows, -1 for GE rows: every row reads sign * (a x - b) <= 0."""
-    return np.array([-1.0 if s == GE else 1.0 for s in model.senses])
-
-
-def _to_ub_form(model: LpModel):
-    """All rows as A x <= b."""
-    signs = _row_signs(model)
-    a_ub = model.rows * signs[:, None]
-    b_ub = model.rhs * signs
-    return a_ub, b_ub
 
 
 def solve(model: LpModel) -> LpSolution:
@@ -143,13 +110,10 @@ def solve(model: LpModel) -> LpSolution:
             return LpSolution("optimal", np.zeros(0), 0.0, 0.0, 0.0, 0)
         return LpSolution("infeasible", None, None, None, None, 0,
                           "empty model with unsatisfiable row")
-    a_ub, b_ub = _to_ub_form(model)
-    bounds = list(zip(model.lower, [u if np.isfinite(u) else None
-                                    for u in model.upper]))
     start = time.perf_counter()
     iterations = 0
     for name, options in CONFIGURATIONS:
-        sol = _certify(model, b_ub, _highs(model, a_ub, b_ub, bounds, options))
+        sol = _certify(model, _highs(model, options))
         iterations += sol.iterations
         if sol.status == "optimal":
             break
@@ -161,20 +125,21 @@ def solve(model: LpModel) -> LpSolution:
     return sol
 
 
-def _highs(model: LpModel, a_ub, b_ub, bounds, options: dict):
-    """linprog's HiGHS result for the model in A x <= b form under `options`."""
+def _highs(model: LpModel, options: dict):
+    """linprog's HiGHS result for the model under `options`."""
     with warnings.catch_warnings():
         # scipy passes HiGHS options it does not know, such as the scaling
         # strategy, on verbatim and warns that it does
         warnings.filterwarnings("ignore", "Unrecognized options",
                                 OptimizeWarning)
-        return linprog(model.objective, A_ub=a_ub if model.num_rows else None,
-                       b_ub=b_ub if model.num_rows else None,
-                       bounds=bounds, method="highs",
+        return linprog(model.objective,
+                       A_ub=model.rows if model.num_rows else None,
+                       b_ub=model.rhs if model.num_rows else None,
+                       bounds=(0, None), method="highs",
                        options={**TOLERANCES, **options})
 
 
-def _certify(model: LpModel, b_ub, res) -> LpSolution:
+def _certify(model: LpModel, res) -> LpSolution:
     """The solution linprog's result `res` reports, with an optimum kept only
     when its residuals and dual bound check out here."""
     iters = int(getattr(res, "nit", 0) or 0)
@@ -186,17 +151,9 @@ def _certify(model: LpModel, b_ub, res) -> LpSolution:
         return LpSolution("error", None, None, None, None, iters, res.message)
     x = np.asarray(res.x, dtype=float)
     viol, obj = check_solution(model, x)
-    # dual bound from the returned multipliers (HiGHS sign conventions:
-    # inequality marginals <= 0, lower-bound marginals >= 0, upper <= 0)
-    dual = 0.0
-    if model.num_rows:
-        dual += float(res.ineqlin.marginals @ b_ub)
-    lo_m = np.asarray(res.lower.marginals, dtype=float)
-    hi_m = np.asarray(res.upper.marginals, dtype=float)
-    finite_lo = np.isfinite(model.lower)
-    finite_hi = np.isfinite(model.upper)
-    dual += float(lo_m[finite_lo] @ model.lower[finite_lo])
-    dual += float(hi_m[finite_hi] @ model.upper[finite_hi])
+    # dual bound from the returned multipliers (HiGHS's inequality marginals
+    # are <= 0); the x >= 0 bounds have rhs 0 and add nothing to it
+    dual = float(res.ineqlin.marginals @ model.rhs) if model.num_rows else 0.0
     gap = abs(obj - dual) / max(1.0, abs(obj))
     if viol > FEAS_TOL or gap > GAP_TOL:
         return LpSolution("error", x, obj, viol, gap, iters,

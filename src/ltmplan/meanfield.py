@@ -198,8 +198,8 @@ def recursion(p):
     below RECURSION_TOL, or after RECURSION_STEPS steps.
     """
     curves = _Curves(p)
-    z, y = 0.0, 0.0
-    traj = [(z, y)]
+    z = 0.0
+    traj = [(z, 0.0)]
     converged = False
     for _ in range(RECURSION_STEPS):
         y_next, z_next = curves.psi_phi(z)
@@ -207,7 +207,7 @@ def recursion(p):
         if abs(z_next - z) < RECURSION_TOL:
             converged = True
             break
-        z, y = z_next, y_next
+        z = z_next
     return traj, converged
 
 

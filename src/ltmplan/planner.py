@@ -105,12 +105,13 @@ def _variables(p0: Statistics, eta_mode: str):
 
 
 def build_lp(p0: Statistics, cfg: PlannerConfig):
-    """Assemble the discretized program.
+    """Assemble the discretized program as min c.x s.t. A x <= b, x >= 0.
 
     Returns (LpModel, columns, grid) where columns, an (nv, 2) integer
     array, holds the (type code, eta) of each variable.  The eta = 0 slack is
-    eliminated: grid rows lower-bound the curve lift, one budget row per type
-    caps the moved mass at the type mass.
+    eliminated: grid rows lower-bound the curve lift, written negated as
+    -lift(z) <= phi0(z) - (z + Delta), and one budget row per type caps the
+    moved mass at the type mass.
     Columns that cannot lift any grid point but cost something are pruned.
     """
     _, zs, delta, _ = _grid_and_margins(p0, cfg)
@@ -122,18 +123,15 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     owner, eta = owner[keep], eta[keep]
     columns = np.column_stack([owner, eta])
     nv = len(columns)
-    grid_rhs = zs + delta - meanfield.phi(p0, zs)
+    grid_rhs = meanfield.phi(p0, zs) - (zs + delta)
     # one budget row per type that keeps a column, in type order
     used, row_of = np.unique(owner, return_inverse=True)
     budget_rows = np.zeros((used.size, nv))
     budget_rows[row_of, np.arange(nv)] = 1.0
     budget_rhs = p0.m[used]
-    rows = np.vstack([coeffs[:, keep], budget_rows])
-    senses = (lp.GE,) * zs.size + (lp.LE,) * used.size
+    rows = np.vstack([-coeffs[:, keep], budget_rows])
     rhs = np.concatenate([grid_rhs, budget_rhs])
-    model = lp.LpModel(cost[keep], rows, senses, rhs,
-                       np.zeros(nv), np.full(nv, np.inf))
-    return model, columns, zs
+    return lp.LpModel(cost[keep], rows, rhs), columns, zs
 
 
 def solution_to_intervention(p0: Statistics, columns, x) -> StatIntervention:
@@ -252,8 +250,8 @@ def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
         raise PlannerError("LP solve failed: %s (%s)" % (sol.status, sol.message))
     xi = solution_to_intervention(p0, columns, sol.x)
     cost = intervention_cost(xi)
-    lift = model.rows[: zs.size] @ sol.x
-    grid_margin = float(np.min(lift - model.rhs[: zs.size]))
+    # the grid rows' slack is the lift minus the requirement
+    grid_margin = float(np.min(model.rhs[: zs.size] - model.rows[: zs.size] @ sol.x))
     m = cfg.audit_points
     relaxed = audit_relaxed(xi, cfg.eps, m)
     original = audit_original(xi, cfg.eps, m)

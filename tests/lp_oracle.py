@@ -11,32 +11,17 @@ import itertools
 
 import numpy as np
 
-from ltmplan.lp import GE, LpModel
+from ltmplan.lp import LpModel
 
 
 def vertex_enumerate(model: LpModel, tol: float = 1e-9):
     """Returns (status, objective) with status 'optimal' or 'infeasible'."""
     nv = model.num_vars
-    rows = []
-    rhs = []
-    for j in range(model.num_rows):
-        sign = -1.0 if model.senses[j] == GE else 1.0
-        rows.append(sign * model.rows[j])
-        rhs.append(sign * model.rhs[j])
-    for v in range(nv):
-        e = np.zeros(nv)
-        e[v] = -1.0
-        rows.append(e)          # -x_v <= -lower_v
-        rhs.append(-model.lower[v])
-        if np.isfinite(model.upper[v]):
-            e = np.zeros(nv)
-            e[v] = 1.0
-            rows.append(e)
-            rhs.append(model.upper[v])
-    g = np.array(rows)
-    h = np.array(rhs)
+    # the rows, then -x_v <= 0 for every variable
+    g = np.vstack([model.rows, -np.eye(nv)])
+    h = np.concatenate([model.rhs, np.zeros(nv)])
     best = None
-    for combo in itertools.combinations(range(len(rows)), nv):
+    for combo in itertools.combinations(range(len(h)), nv):
         a = g[list(combo)]
         b = h[list(combo)]
         if abs(np.linalg.det(a)) < 1e-10:
@@ -52,11 +37,12 @@ def vertex_enumerate(model: LpModel, tol: float = 1e-9):
 
 
 def random_model(rng, max_vars=8, max_rows=8):
-    """Random bounded LP: strictly positive objective, x >= 0, mixed senses."""
+    """Random bounded LP: strictly positive objective, x >= 0, each row
+    a x >= b or a x <= b with even odds (a >= row stored negated)."""
     nv = int(rng.integers(1, max_vars + 1))
     nr = int(rng.integers(1, max_rows + 1))
     c = rng.uniform(0.1, 2.0, size=nv)
     a = rng.normal(size=(nr, nv))
-    senses = tuple(GE if rng.random() < 0.5 else "<=" for _ in range(nr))
+    signs = np.array([-1.0 if rng.random() < 0.5 else 1.0 for _ in range(nr)])
     b = rng.normal(size=nr)
-    return LpModel(c, a, senses, b, np.zeros(nv), np.full(nv, np.inf))
+    return LpModel(c, a * signs[:, None], b * signs)

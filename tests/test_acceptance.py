@@ -172,10 +172,8 @@ def test_criterion_08_lp_oracle_and_restriction():
             worst = max(worst, abs(sol.objective - ref_obj))
             # restriction: one extra constraint can only raise the optimum
             extra = rng.normal(size=(1, m.num_vars))
-            aug = lp.LpModel(m.objective, np.vstack([m.rows, extra]),
-                             m.senses + (lp.GE,),
-                             np.append(m.rhs, rng.normal()),
-                             m.lower, m.upper)
+            aug = lp.LpModel(m.objective, np.vstack([m.rows, -extra]),
+                             np.append(m.rhs, -rng.normal()))
             aug_sol = lp.solve(aug)
             if aug_sol.status == "optimal" and \
                     aug_sol.objective < sol.objective - 1e-9:

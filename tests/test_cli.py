@@ -274,6 +274,22 @@ def test_exit_code_validate_mismatch(tmp_path, capsys):
     assert_one_line(capsys, "statistics error:")
 
 
+@pytest.mark.parametrize("eps, network", [
+    ("2", ["--edges", DATA, "--undirected"]), ("nan", []), ("0", []),
+], ids=["realize-2", "monte-carlo-nan", "monte-carlo-0"])
+def test_validate_eps_out_of_range(tmp_path, capsys, eps, network):
+    # eps 2 would set the target to -1 and call any run a success
+    stats = run_stats(tmp_path)
+    plan_path = run_plan(tmp_path, stats)
+    out = tmp_path / "v"
+    capsys.readouterr()
+    rc = main(["validate", "--statistics", stats, "--plan", plan_path, "--eps", eps,
+               "--mc-n", "200", *network, "--out", str(out)])
+    assert rc == EXIT_VALIDATE
+    assert "eps must lie in (0, 1]" in assert_one_line(capsys, "input error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, value", [("LTMPLAN_EPS", "abc"),
                                          ("LTMPLAN_ETA_MODE", "none")])
 def test_bad_env_value_is_usage_error(tmp_path, capsys, monkeypatch, name, value):

@@ -9,31 +9,25 @@ from scipy.optimize import linprog
 from conftest import random_statistics
 from lp_oracle import random_model, vertex_enumerate
 from ltmplan import lp
-from ltmplan.lp import GE, LE, LpModel, check_solution, solve
+from ltmplan.lp import LpModel, check_solution, solve
 from ltmplan.planner import PlannerConfig, build_lp
 
 
 def small_model():
     # min x0 + x1  s.t.  x0 + x1 >= 1, x0 <= 0.6, x >= 0
     return LpModel(np.array([1.0, 1.0]),
-                   np.array([[1.0, 1.0], [1.0, 0.0]]),
-                   (GE, LE), np.array([1.0, 0.6]),
-                   np.zeros(2), np.full(2, np.inf))
+                   np.array([[-1.0, -1.0], [1.0, 0.0]]),
+                   np.array([-1.0, 0.6]))
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        LpModel(np.array([1.0]), np.array([[1.0, 2.0]]), (GE,),
-                np.array([1.0]), np.zeros(1), np.ones(1))
+        LpModel(np.array([1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
-        LpModel(np.array([1.0]), np.array([[1.0]]), ("==",),
-                np.array([1.0]), np.zeros(1), np.ones(1))
+        LpModel(np.array([1.0]), np.array([[1.0]]), np.array([np.nan]))
+    # one row of two variables given as a column: rejected, not reshaped
     with pytest.raises(ValueError):
-        LpModel(np.array([1.0]), np.array([[1.0]]), (GE,),
-                np.array([np.nan]), np.zeros(1), np.ones(1))
-    with pytest.raises(ValueError):
-        LpModel(np.array([1.0]), np.array([[1.0]]), (GE,),
-                np.array([1.0]), np.ones(1), np.zeros(1))
+        LpModel(np.array([1.0, 2.0]), np.array([[1.0], [1.0]]), np.array([1.0]))
 
 
 def test_check_solution():
@@ -45,7 +39,7 @@ def test_check_solution():
     viol, _ = check_solution(m, [0.7, 0.5])
     assert viol == pytest.approx(0.1)      # upper row exceeded
     viol, _ = check_solution(m, [-0.3, 1.5])
-    assert viol == pytest.approx(0.3)      # below lower bound
+    assert viol == pytest.approx(0.3)      # x0 negative
     with pytest.raises(ValueError):
         check_solution(m, [1.0])
 
@@ -59,8 +53,8 @@ def test_solve_small():
 
 def infeasible_model():
     # x >= 2 and x <= 1
-    return LpModel(np.array([1.0]), np.array([[1.0], [1.0]]), (GE, LE),
-                   np.array([2.0, 1.0]), np.zeros(1), np.full(1, np.inf))
+    return LpModel(np.array([1.0]), np.array([[-1.0], [1.0]]),
+                   np.array([-2.0, 1.0]))
 
 
 def test_solve_infeasible():
@@ -68,28 +62,16 @@ def test_solve_infeasible():
 
 
 def test_solve_unbounded():
-    m = LpModel(np.array([-1.0]), np.array([[1.0]]), (GE,),
-                np.array([0.0]), np.zeros(1), np.full(1, np.inf))
+    m = LpModel(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0]))
     assert solve(m).status == "unbounded"
 
 
 def test_solve_vacuous_models():
-    ok = LpModel(np.zeros(0), np.zeros((1, 0)), (GE,), np.array([-1.0]),
-                 np.zeros(0), np.zeros(0))
+    ok = LpModel(np.zeros(0), np.zeros((1, 0)), np.array([1.0]))
     sol = solve(ok)
     assert sol.status == "optimal" and sol.objective == 0.0
-    bad = LpModel(np.zeros(0), np.zeros((1, 0)), (GE,), np.array([1.0]),
-                  np.zeros(0), np.zeros(0))
+    bad = LpModel(np.zeros(0), np.zeros((1, 0)), np.array([-1.0]))
     assert solve(bad).status == "infeasible"
-
-
-def test_solve_respects_upper_bounds():
-    m = LpModel(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), (GE,),
-                np.array([1.0]), np.zeros(2), np.array([0.3, np.inf]))
-    sol = solve(m)
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(0.3, abs=1e-9)
-    assert sol.objective == pytest.approx(0.3 + 2 * 0.7, abs=1e-9)
 
 
 def test_solve_matches_vertex_oracle():
@@ -141,12 +123,8 @@ def test_solve_matches_highs_defaults(monkeypatch):
     monkeypatch.setattr(lp, "_highs", counted)
     seen = collections.Counter()
     for mode, model in planner_models(np.random.default_rng(57), 60):
-        signs = np.where(np.array(model.senses) == GE, -1.0, 1.0)
-        ref = linprog(model.objective, A_ub=model.rows * signs[:, None],
-                      b_ub=model.rhs * signs,
-                      bounds=[(lo, hi if np.isfinite(hi) else None)
-                              for lo, hi in zip(model.lower, model.upper)],
-                      method="highs", options=lp.TOLERANCES)
+        ref = linprog(model.objective, A_ub=model.rows, b_ub=model.rhs,
+                      bounds=(0, None), method="highs", options=lp.TOLERANCES)
         status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status, "error")
         nits.clear()
         sol = solve(model)

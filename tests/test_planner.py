@@ -87,12 +87,13 @@ def test_build_lp_structure():
     # reductions 1..r for each type: 1 + 2 + 3 variables
     assert len(columns) == 6
     assert model.num_rows == 11 + 3          # grid rows plus one budget per type
-    assert model.senses[:11] == (lp.GE,) * 11
-    assert model.senses[11:] == (lp.LE,) * 3
     assert zs[0] == 0.0 and zs[-1] == pytest.approx(1.0 - alpha_eps(p0, 0.1))
-    # grid row rhs is z + Delta - phi0(z)
+    # grid rows read lift >= z + Delta - phi0(z), stored negated as A x <= b
     phi0 = meanfield.phi(p0, zs)
-    assert model.rhs[:11] == pytest.approx(zs + 0.05 - phi0)
+    assert np.array_equal(model.rhs[:11], -(zs + 0.05 - phi0))
+    for i, (code, eta) in enumerate(columns):
+        assert model.rows[:11, i] == pytest.approx(
+            -meanfield.coeff_a(p0.types()[code], eta, zs, p0), abs=1e-15)
     # objective carries each type's cost table
     types = p0.types()
     for c, (code, eta) in zip(model.objective, columns):
@@ -151,6 +152,23 @@ def test_plan_guarantee_regime_random():
                       - p0.m).max() <= 1e-12
 
 
+@pytest.mark.parametrize("eta_mode", ["full", "seed-only"])
+def test_grid_margin_is_lift_over_requirement(eta_mode):
+    # the grid rows are stored negated: their slack must read as the
+    # post-intervention curve minus z + Delta on build_lp's grid
+    rng = np.random.default_rng(44)
+    for _ in range(8):
+        p0 = random_statistics(rng, max_types=5, k_max=8)
+        eps = float(rng.uniform(0.3, 0.6))
+        delta = float(rng.uniform(0.2, 0.9)) * alpha_eps(p0, eps)
+        cfg = PlannerConfig(eps=eps, grid_n=int(rng.integers(10, 40)),
+                            delta=delta, eta_mode=eta_mode)
+        res = plan(p0, cfg)
+        zs = build_lp(p0, cfg)[2]
+        lift = meanfield.phi_decomposed(res.xi, zs) - zs - delta
+        assert res.grid_margin == pytest.approx(np.min(lift), abs=1e-9)
+
+
 def test_plan_cost_decreases_with_grid_refinement():
     p0 = Statistics({AgentType(2, 2, 1, lin(1)): 0.4,
                      AgentType(2, 2, 2, lin(2)): 0.6})
@@ -192,10 +210,12 @@ def test_build_lp_columns_match_coeff_a():
         cfg = PlannerConfig(eps=0.2, grid_n=(1, 2, 5)[trial % 3], delta=0.05)
         model, columns, zs = build_lp(p0, cfg)
         n_rows = cfg.grid_n + 1
+        assert np.array_equal(model.rhs[:n_rows],
+                              -(zs + 0.05 - meanfield.phi(p0, zs)))
         pruned += sum(w.r for w in p0.support()) - len(columns)
         for i, (code, eta) in enumerate(columns):
             w = p0.types()[code]
-            assert np.max(np.abs(model.rows[:n_rows, i]
+            assert np.max(np.abs(-model.rows[:n_rows, i]
                                  - meanfield.coeff_a(w, eta, zs, p0))) <= 1e-15
             assert model.objective[i] == w.cost[eta]
             # exactly one budget row holds the column, capped at its type mass
