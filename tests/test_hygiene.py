@@ -71,3 +71,31 @@ def test_no_unused_private_defs():
         with open(path) as fh:
             sources[os.path.relpath(path, ROOT)] = fh.read()
     assert unused_private_defs(sources) == []
+
+
+def imported_modules(source: str):
+    """Every module an import statement of `source` names."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    return modules
+
+
+def test_scipy_optimize_stays_behind_lp():
+    """Only `lp` imports from scipy.optimize: the HiGHS solver object it
+    drives is private to scipy, so one module holds every use of it.
+    linprog is the tests' reference and appears nowhere else."""
+    for path in PACKAGE:
+        with open(path) as fh:
+            modules = imported_modules(fh.read())
+        if os.path.basename(path) != "lp.py":
+            assert not {m for m in modules if m.split(".")[:2] == ["scipy", "optimize"]}, path
+    others = [p for p in glob.glob(os.path.join(ROOT, "**", "*.py"), recursive=True)
+              if os.path.relpath(p, ROOT).split(os.sep)[0] != "tests"]
+    assert os.path.join(ROOT, "src", "ltmplan", "lp.py") in others
+    for path in others:
+        with open(path) as fh:
+            assert "linprog" not in fh.read(), path

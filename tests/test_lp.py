@@ -11,6 +11,7 @@ from lp_oracle import random_model, vertex_enumerate
 from ltmplan import lp
 from ltmplan.lp import LpModel, check_solution, solve
 from ltmplan.planner import PlannerConfig, build_lp
+from test_planner import powergrid_instance
 
 
 def small_model():
@@ -141,6 +142,81 @@ def test_solve_matches_highs_defaults(monkeypatch):
     for mode in ("full", "seed-only"):
         assert seen[mode, "optimal", lp.CONFIGURATIONS[0][0]] > 0
         assert seen[mode, "infeasible", "HiGHS defaults"] > 0
+
+
+def linprog_reference(model, options):
+    """linprog's HiGHS result under `options`, given in HiGHS's native values
+    as lp.CONFIGURATIONS gives them."""
+    opts = {**lp.TOLERANCES, **options}
+    if "presolve" in opts:
+        opts["presolve"] = opts["presolve"] != "off"
+    with warnings.catch_warnings():
+        # linprog passes options it does not know on to HiGHS and warns
+        warnings.filterwarnings("ignore", "Unrecognized options")
+        return linprog(model.objective, A_ub=model.rows if model.num_rows else None,
+                       b_ub=model.rhs if model.num_rows else None,
+                       bounds=(0, None), method="highs", options=opts)
+
+
+def assert_same_as_linprog(model, options):
+    ref = linprog_reference(model, options)
+    res = lp._highs(model, options)
+    assert res.outcome == {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
+        ref.status, "error")
+    assert res.message == ref.message
+    assert res.nit == ref.nit
+    if ref.status == 0:
+        assert np.array_equal(res.x, ref.x)
+        assert np.array_equal(res.row_dual, ref.ineqlin.marginals)
+    else:
+        assert res.x is None and res.row_dual is None
+    return res.outcome
+
+
+def test_highs_matches_linprog():
+    """The direct HiGHS solve returns linprog's x, row duals, iterations,
+    outcome and message, bit for bit, under every configuration."""
+    models = [build_lp(powergrid_instance(),
+                       PlannerConfig(eps=0.3, grid_n=100, delta=0.05))[0]]
+    models += [model for _, model in planner_models(np.random.default_rng(57), 60)]
+    # variables and no rows: optimal at x = 0, and unbounded
+    models += [LpModel(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros(0)),
+               LpModel(np.array([1.0, -2.0]), np.zeros((0, 2)), np.zeros(0))]
+    seen = collections.Counter()
+    for model in models:
+        for _, options in lp.CONFIGURATIONS:
+            seen[assert_same_as_linprog(model, options)] += 1
+    assert seen["optimal"] > 0 and seen["infeasible"] > 0 and seen["unbounded"] > 0
+    assert seen["error"] > 0      # status Unknown without presolve
+
+
+def test_certify_rejects_infeasible_duals():
+    """A dual vector whose bound b.y meets c.x proves nothing unless it is
+    dual feasible: y <= 0 and c - A'y >= 0."""
+    model = small_model()
+    x = np.array([0.6, 0.4])
+    good = lp.HighsResult("optimal", "", x, np.array([-1.0, 0.0]), 1)
+    assert lp._certify(model, good).status == "optimal"
+    for y in ([0.0, 1.0 / 0.6],       # a positive row dual
+              [-2.0, -5.0 / 3.0]):    # y <= 0, but c - A'y < 0 for x1
+        y = np.array(y)
+        assert y @ model.rhs == pytest.approx(1.0)
+        sol = lp._certify(model, lp.HighsResult("optimal", "", x, y, 1))
+        assert sol.status == "error" and "dual violation" in sol.message
+
+
+def test_rejected_option_falls_back_to_defaults(monkeypatch, capfd):
+    monkeypatch.setattr(lp, "CONFIGURATIONS",
+                        (("unscaled, no presolve", {"no_such_option": 0}),
+                         lp.CONFIGURATIONS[-1]))
+    res = lp._highs(small_model(), lp.CONFIGURATIONS[0][1])
+    assert res.outcome == "error" and "no_such_option" in res.message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(small_model())
+    assert sol.status == "optimal" and sol.configuration == "HiGHS defaults"
+    assert sol.objective == pytest.approx(1.0, abs=1e-9)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_solve_raises_no_optimize_warning():
