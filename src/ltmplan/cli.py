@@ -343,7 +343,7 @@ def build_parser(preset=None):
     p.add_argument("--statistics", required=True)
     p.add_argument("--plan", required=True, help="plan.json from 'plan'")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--mc-n", type=int, default=10000)
+    p.add_argument("--mc-n", type=positive_int, default=10000)
     p.add_argument("--replicates", type=positive_int, default=1)
     _add_network_args(p)
     p.set_defaults(func=cmd_validate, stage=EXIT_VALIDATE)

@@ -51,12 +51,11 @@ class MultiGraph:
         heads.setflags(write=False)
         object.__setattr__(self, "tails", tails)
         object.__setattr__(self, "heads", heads)
-        # adjacency counts A[i, j] = number of edges i -> j; duplicates sum
+        # adjacency counts A[i, j] = edges i -> j; construction sums duplicates
         adj = sp.csr_matrix(
             (np.ones(tails.size, dtype=np.int64), (tails, heads)),
             shape=(self.n, self.n),
         )
-        adj.sum_duplicates()
         object.__setattr__(self, "_adj", adj)
 
     @property

@@ -5,12 +5,14 @@ the planner's: non-negative masses, grid rows that bound the curve lift from
 below (written negated) and per-type budget rows.  Solving is delegated to
 HiGHS, driven directly through the solver object scipy ships
 (`scipy.optimize._highspy._core._Highs`): each model is passed once as
-row-wise sparse arrays, and its outcomes and messages keep the wording of
-scipy's own LP front end.  No other module touches that private API.  Every
-reported optimum is re-certified here: primal residuals are recomputed from
-scratch, the returned row duals must be dual feasible, and the dual bound
-they give must meet the primal objective.  A solve that cannot be certified
-is reported as a failure, never as a silent wrong answer.
+row-wise sparse arrays.  HiGHS's model status maps to an outcome through one
+three-entry table: Optimal, Infeasible and Unbounded are themselves, and
+every other status is an error, as is a model HiGHS rejects at load.  No
+other module touches that private API.  Every reported optimum is
+re-certified here: primal residuals are recomputed from scratch, the
+returned row duals must be dual feasible, and the dual bound they give must
+meet the primal objective.  A solve that cannot be certified is reported as
+a failure, never as a silent wrong answer.
 
 HiGHS runs first unscaled and without presolve, which is faster on the
 planner's small dense LPs: presolve only removes their singleton budget
@@ -41,20 +43,10 @@ CONFIGURATIONS = (
 TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
               "dual_feasibility_tolerance": 1e-10}
 
-# HiGHS model status -> (outcome, message prefix), in scipy's wording
-OUTCOMES = {
-    "kOptimal": ("optimal", "Optimization terminated successfully. "),
-    "kInfeasible": ("infeasible", "The problem is infeasible. "),
-    "kModelError": ("infeasible", ""),
-    "kUnbounded": ("unbounded", "The problem is unbounded. "),
-    "kUnboundedOrInfeasible": ("error", "The problem is unbounded or infeasible. "),
-    "kTimeLimit": ("error", "Time limit reached. "),
-    "kIterationLimit": ("error", "Iteration limit reached. "),
-    **dict.fromkeys(("kNotset", "kLoadError", "kPresolveError", "kSolveError",
-                     "kPostsolveError", "kModelEmpty", "kObjectiveBound",
-                     "kObjectiveTarget"), ("error", "")),
-}
-UNRECOGNIZED = ("error", "The HiGHS status code was not recognized. ")
+# HiGHS model status -> outcome; every other status is an "error"
+OUTCOMES = {highs.HighsModelStatus.kOptimal: "optimal",
+            highs.HighsModelStatus.kInfeasible: "infeasible",
+            highs.HighsModelStatus.kUnbounded: "unbounded"}
 
 log = logging.getLogger(__name__)
 
@@ -172,26 +164,18 @@ def _highs(model: LpModel, options: dict) -> HighsResult:
                    np.searchsorted(row, np.arange(m)).astype(np.int32),
                    col.astype(np.int32), model.rows[row, col],
                    np.zeros(n, dtype=np.int32)) == highs.HighsStatus.kError:
-        return _result(h, highs.HighsModelStatus.kModelError)
-    if h.run() == highs.HighsStatus.kError:
-        return _result(h, h.getModelStatus())
+        return HighsResult("error", "HiGHS rejected the model", None, None, 0)
+    h.run()
     status, info = h.getModelStatus(), h.getInfo()
-    if status != highs.HighsModelStatus.kOptimal:
-        return _result(h, status, info.simplex_iteration_count,
-                       "model_status is %s; primal_status is %s"
-                       % (h.modelStatusToString(status),
-                          h.solutionStatusToString(info.primal_solution_status)))
+    outcome, nit = OUTCOMES.get(status, "error"), info.simplex_iteration_count
+    message = "model_status is %s; primal_status is %s" % (
+        h.modelStatusToString(status),
+        h.solutionStatusToString(info.primal_solution_status))
+    if outcome != "optimal":
+        return HighsResult(outcome, message, None, None, nit)
     sol = h.getSolution()
-    return _result(h, status, info.simplex_iteration_count,
-                   x=np.array(sol.col_value), row_dual=np.array(sol.row_dual))
-
-
-def _result(h, status, nit=0, detail=None, x=None, row_dual=None) -> HighsResult:
-    """The result for HiGHS's model `status`, with scipy's message for it."""
-    outcome, prefix = OUTCOMES.get(status.name, UNRECOGNIZED)
-    detail = h.modelStatusToString(status) if detail is None else detail
-    return HighsResult(outcome, "%s(HiGHS Status %d: %s)" % (prefix, int(status), detail),
-                       x, row_dual, nit)
+    return HighsResult(outcome, message, np.array(sol.col_value), np.array(sol.row_dual),
+                       nit)
 
 
 def _certify(model: LpModel, res: HighsResult) -> LpSolution:

@@ -141,8 +141,9 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
         heads = stream.permutation(heads_base)
         return None if np.any(tails == heads) else heads
 
-    workers = _cpu_count()
-    # one worker draws inline: a pool would only add its set-up cost
+    # no more workers than attempts; one worker draws inline, where a pool
+    # would only add its set-up cost
+    workers = min(_cpu_count(), max_retries)
     with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         run = map if pool is None else pool.map
         tried = 0
@@ -195,14 +196,12 @@ def realize_intervention(type_of, rho, xi: StatIntervention,
     return h
 
 
-def cascade_fractions(g: MultiGraph, rho, t_max=None):
+def cascade_fractions(g: MultiGraph, rho):
     """Run the cascade from all-zeros; return per-step (active fraction Y,
     fraction of links pointing to active nodes Z)."""
-    if t_max is None:
-        # from all-zeros the dynamics are monotone, so the fixed point arrives
-        # within n steps; one extra step confirms it
-        t_max = g.n + 1
-    states, fixed, _ = ltm_trajectory(g, rho, np.zeros(g.n, dtype=np.int8), t_max)
+    # from all-zeros the dynamics are monotone, so the fixed point arrives
+    # within n steps; one extra step confirms it
+    states, fixed, _ = ltm_trajectory(g, rho, np.zeros(g.n, dtype=np.int8), g.n + 1)
     delta = g.in_degrees
     total_links = float(delta.sum())
     ys = np.array([s.sum() / g.n for s in states])

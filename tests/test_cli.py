@@ -307,7 +307,10 @@ def test_bad_env_value_is_usage_error(tmp_path, capsys, monkeypatch, name, value
     ({}, ["experiment", "--edges", DATA, "--instances", "-2"]),
     ({}, ["validate", "--statistics", "s.json", "--plan", "p.json", "--replicates", "-1"]),
     ({"LTMPLAN_REPLICATES": "-1"}, ["validate", "--statistics", "s.json", "--plan", "p.json"]),
-], ids=["instances0", "instances-2", "replicates-1", "env-replicates-1"])
+    ({}, ["validate", "--statistics", "s.json", "--plan", "p.json", "--mc-n", "0"]),
+    ({"LTMPLAN_MC_N": "0"}, ["validate", "--statistics", "s.json", "--plan", "p.json"]),
+], ids=["instances0", "instances-2", "replicates-1", "env-replicates-1", "mc-n0",
+        "env-mc-n0"])
 def test_count_below_one_is_usage_error(tmp_path, capsys, monkeypatch, env, argv):
     # a count below 1 would average over nothing: NaN means in the output
     for name, value in env.items():

@@ -1,5 +1,6 @@
 import collections
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -75,6 +76,16 @@ def test_solve_vacuous_models():
     assert solve(bad).status == "infeasible"
 
 
+def test_model_highs_rejects_is_an_error():
+    """Both models are feasible, but HiGHS refuses to load them: it takes
+    matrix values >= 1e15 as too large and |bounds| >= 1e20 as infinite."""
+    for model in (LpModel([1.0, 1.0], [[-1.0, -1e16]], [-1.0]),
+                  LpModel([1.0, 1.0], [[-1.0, -1.0]], [-1e25])):
+        sol = solve(model)
+        assert sol.status == "error" and "rejected the model" in sol.message
+        assert sol.configuration == "HiGHS defaults"
+
+
 def test_solve_matches_vertex_oracle():
     rng = np.random.default_rng(31)
     optimal = infeasible = 0
@@ -112,7 +123,7 @@ def planner_models(rng, count):
 def test_solve_matches_highs_defaults(monkeypatch):
     """solve() tries a faster HiGHS configuration first, yet reports what
     linprog with HiGHS's defaults reports: the same status, the same optimum
-    to 1e-9, and for anything but an optimum the same message."""
+    to 1e-9, and for anything but an optimum the same HiGHS model status."""
     assert lp.CONFIGURATIONS[-1] == ("HiGHS defaults", {})
     nits = []
     highs = lp._highs
@@ -137,11 +148,20 @@ def test_solve_matches_highs_defaults(monkeypatch):
             assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
         else:
             assert len(nits) == len(lp.CONFIGURATIONS)
-            assert sol.message == ref.message
+            assert names_same_model_status(sol.message, ref.message)
         seen[mode, status, sol.configuration] += 1
     for mode in ("full", "seed-only"):
         assert seen[mode, "optimal", lp.CONFIGURATIONS[0][0]] > 0
         assert seen[mode, "infeasible", "HiGHS defaults"] > 0
+
+
+def names_same_model_status(message, linprog_message):
+    """Whether `message` names the HiGHS model status that linprog's
+    message names, as "(HiGHS Status 8: model_status is Infeasible; ...)"
+    or "(HiGHS Status 7: Optimal)"."""
+    status = re.search(r"HiGHS Status \d+: (?:model_status is )?([^;)]+)",
+                       linprog_message).group(1)
+    return "model_status is %s;" % status in message
 
 
 def linprog_reference(model, options):
@@ -163,7 +183,7 @@ def assert_same_as_linprog(model, options):
     res = lp._highs(model, options)
     assert res.outcome == {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
         ref.status, "error")
-    assert res.message == ref.message
+    assert names_same_model_status(res.message, ref.message)
     assert res.nit == ref.nit
     if ref.status == 0:
         assert np.array_equal(res.x, ref.x)
@@ -174,8 +194,9 @@ def assert_same_as_linprog(model, options):
 
 
 def test_highs_matches_linprog():
-    """The direct HiGHS solve returns linprog's x, row duals, iterations,
-    outcome and message, bit for bit, under every configuration."""
+    """The direct HiGHS solve returns linprog's x, row duals, iterations and
+    outcome, bit for bit, and names its HiGHS model status, under every
+    configuration."""
     models = [build_lp(powergrid_instance(),
                        PlannerConfig(eps=0.3, grid_n=100, delta=0.05))[0]]
     models += [model for _, model in planner_models(np.random.default_rng(57), 60)]
