@@ -65,9 +65,9 @@ FAILURE_KINDS = ((UsageError, "usage"), (GraphError, "graph"),
 
 
 def _write_json(path, doc):
+    # one dumps and one write: json.dump writes chunk by chunk
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _read_json(path, *keys):
@@ -294,10 +294,10 @@ def _add_network_args(p):
 
 def _add_plan_args(p):
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--grid-n", type=int, default=100)
+    p.add_argument("--grid-n", type=positive_int, default=100)
     p.add_argument("--delta", type=delta_or_auto, default=0.05,
                    help="margin, a positive real or 'auto' for the guarantee value")
-    p.add_argument("--fine-m", type=int, default=None,
+    p.add_argument("--fine-m", type=positive_int, default=None,
                    help="audit grid size (default 10 * grid-n)")
     p.add_argument("--eta-mode", choices=("full", "seed-only"), default="full")
 

@@ -1,11 +1,16 @@
 """Binomial-tail numerics and the one-dimensional mean-field maps.
 
 Everything here is built on one quantity, the survival probability of a
-Binomial(k, z) variable at level r, evaluated through the regularized
-incomplete beta identity P[Bin(k, z) >= r] = I_z(r, k - r + 1).  The curves
-psi and phi are weighted sums of it over the distinct (k, r) pairs of a type
-distribution, and each intervention coefficient is a difference of two of
-its values.  An independent summation oracle lives in the test suite.
+Binomial(k, z) variable at level r.  It has two kernels behind one entry
+point, `_tail`.  A scalar z, and any evaluation whose (k, r) triangle is
+large, goes through the regularized incomplete beta identity
+P[Bin(k, z) >= r] = I_z(r, k - r + 1).  An array z whose triangle of all
+pairs up to the largest k has at most PASCAL_COST entries per value betainc
+would compute instead fills that whole triangle by Pascal's rule and reads
+the pairs off it.  The curves psi and phi are weighted sums of the tail over
+the distinct (k, r) pairs of a type distribution, and each intervention
+coefficient is a difference of two of its values.  An independent summation
+oracle lives in the test suite.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ RECURSION_STEPS = 10_000
 RECURSION_TOL = 1e-12
 BISECTION_STEPS = 60
 Z_SLACK = 1e-15   # rounding allowed outside [0, 1] before z is clipped
+# One betainc value costs as much as 11 to 30 entries of the Pascal triangle,
+# its gather included: 58-67 ns against 3.5-5.8 ns for k <= 13 on a
+# 1001-point grid, 97 against 3.3 ns at k = 60 (the ratio grows with k).
+# 8 keeps the triangle a clear win wherever it is chosen.
+PASCAL_COST = 8
 
 
 def binom_tail(k, r, z):
@@ -31,14 +41,14 @@ def binom_tail(k, r, z):
 
 
 def _tail_params(k, r):
-    """The checked parameters of P[Bin(k, z) >= r]: betainc's (r, k - r + 1)
-    and the mask of the sure events r = 0."""
+    """The checked parameters of P[Bin(k, z) >= r]: k and r broadcast
+    together, betainc's (r, k - r + 1) and the mask of the sure events r = 0."""
     k, r = np.broadcast_arrays(np.asarray(k), np.asarray(r))
     bad = (r < 0) | (r > k)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise ValueError("need 0 <= r <= k, got r=%d, k=%d" % (r.flat[i], k.flat[i]))
-    return np.maximum(r, 1), k - r + 1, r == 0
+    return k, r, np.maximum(r, 1), k - r + 1, r == 0
 
 
 def _unit(z) -> np.ndarray:
@@ -49,11 +59,47 @@ def _unit(z) -> np.ndarray:
     return np.clip(z, 0.0, 1.0)
 
 
+def _grid(z) -> np.ndarray:
+    """z from `_unit` with a trailing axis for the pairs of a tail table; a
+    0-d z stays 0-d, so that a single point is one betainc evaluation."""
+    z = _unit(z)
+    return z[..., None] if z.ndim else z
+
+
 def _tail(params, z) -> np.ndarray:
-    """The tail at parameters from `_tail_params` and z from `_unit`."""
-    a, b, sure = params
+    """The tail at parameters from `_tail_params` and z from `_unit`,
+    broadcast together.  An array z takes Pascal's rule when the triangle of
+    all pairs up to the largest k costs at most PASCAL_COST entries per value
+    betainc would compute; a scalar z, and every larger triangle, betainc."""
+    k, r, a, b, sure = params
+    if getattr(z, "ndim", 0) and k.size and z.size:
+        k_max = int(k.max())
+        values = math.prod(np.broadcast_shapes(k.shape, z.shape))
+        if (k_max + 1) * (k_max + 2) // 2 * z.size <= PASCAL_COST * values:
+            return _pascal(k, r, z, k_max)
     # I_z(r, k - r + 1) is 0 at z = 0 and 1 at z = 1; r = 0 is the sure event
     return np.where(sure, 1.0, sc.betainc(a, b, z))
+
+
+def _pascal(k, r, z, k_max: int) -> np.ndarray:
+    """The tails at (k, r) broadcast against z, read off every tail up to
+    k_max at every z, built at once by T(j, s) = z T(j-1, s-1) + (1-z) T(j-1, s)
+    with T(j, 0) = 1.  Each step is a convex combination of non-negative
+    numbers: nothing cancels, and z = 0 and z = 1 give exactly 0 and 1."""
+    zs = z.reshape(-1)
+    # row j (j + 1) / 2 + s holds T(j, s) at every z
+    table = np.empty(((k_max + 1) * (k_max + 2) // 2, zs.size))
+    table[0] = 1.0
+    q = 1.0 - zs
+    for j in range(1, k_max + 1):
+        prev = table[(j - 1) * j // 2: j * (j + 1) // 2]
+        row = table[j * (j + 1) // 2: (j + 1) * (j + 2) // 2]
+        row[0] = 1.0
+        np.multiply(prev, zs, out=row[1:])
+        # T(j - 1, j) = 0: the top entry has no (1 - z) term
+        row[1:-1] += prev[1:] * q
+    at = (k * (k + 1) // 2 + r) * zs.size + np.arange(zs.size).reshape(z.shape)
+    return table.ravel().take(at)
 
 
 def _distinct_pairs(k: np.ndarray, r: np.ndarray):
@@ -71,7 +117,7 @@ def _tail_table(z, *groups):
     and for each group the table column of each of its pairs."""
     ku, ru, inverse = _distinct_pairs(np.concatenate([k for k, _ in groups]),
                                       np.concatenate([r for _, r in groups]))
-    table = _tail(_tail_params(ku, ru), _unit(z)[..., None])
+    table = _tail(_tail_params(ku, ru), _grid(z))
     return table, np.split(inverse, np.cumsum([k.size for k, _ in groups])[:-1])
 
 
@@ -100,7 +146,7 @@ class _Curves:
             if z < -Z_SLACK or z > 1 + Z_SLACK:
                 raise ValueError("z outside [0, 1]")
             return _tail(self._params, min(max(z, 0.0), 1.0))
-        return _tail(self._params, _unit(z)[..., None])
+        return _tail(self._params, _grid(z))
 
     def psi(self, z):
         return _scalar_if(self.tails(z) @ self.mass, z)

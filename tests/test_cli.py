@@ -4,7 +4,7 @@ import os
 import pytest
 
 from ltmplan.cli import (EXIT_OK, EXIT_PLAN, EXIT_STATS, EXIT_USAGE,
-                         EXIT_VALIDATE, main, parse_args)
+                         EXIT_VALIDATE, _write_json, main, parse_args)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "toy_network.txt")
 
@@ -35,6 +35,18 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_write_json_is_indented_dumps(tmp_path):
+    doc = {"a": [1, 2.5, None, True], "b": {"c": "\u00e9", "d": 1e-300}, "e": {}}
+    path = tmp_path / "doc.json"
+    _write_json(path, doc)
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    # a document the CLI wrote reads back to the same bytes
+    plan_path = run_plan(tmp_path, run_stats(tmp_path))
+    with open(plan_path) as fh:
+        text = fh.read()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_stats(tmp_path):
@@ -241,14 +253,16 @@ def test_exit_code_plan_input_errors(tmp_path, capsys):
         assert path in assert_one_line(capsys, "input error:")
 
 
-def test_plan_fine_m_below_one_is_plan_error(tmp_path, capsys):
+def test_plan_fine_m_below_one_is_usage_error(tmp_path, capsys):
     # an audit grid of M = 0 would audit z = 0 alone and report its margin
     stats = run_stats(tmp_path)
     capsys.readouterr()
-    rc = main(["plan", "--statistics", stats, "--eps", "0.1", "--fine-m", "0",
-               "--out", str(tmp_path / "x")])
-    assert rc == EXIT_PLAN
-    assert "must be >= 1" in assert_one_line(capsys, "planner error:")
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--statistics", stats, "--eps", "0.1", "--fine-m", "0",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_USAGE
+    assert "must be >= 1" in assert_one_line(capsys, "usage error: argument --fine-m")
+    assert not os.path.exists(tmp_path / "x")
 
 
 def test_exit_code_validate_malformed_plan(tmp_path, capsys):
@@ -309,8 +323,11 @@ def test_bad_env_value_is_usage_error(tmp_path, capsys, monkeypatch, name, value
     ({"LTMPLAN_REPLICATES": "-1"}, ["validate", "--statistics", "s.json", "--plan", "p.json"]),
     ({}, ["validate", "--statistics", "s.json", "--plan", "p.json", "--mc-n", "0"]),
     ({"LTMPLAN_MC_N": "0"}, ["validate", "--statistics", "s.json", "--plan", "p.json"]),
+    ({}, ["experiment", "--edges", DATA, "--grid-n", "0"]),
+    ({}, ["experiment", "--edges", DATA, "--grid-n", "-3"]),
+    ({"LTMPLAN_FINE_M": "0"}, ["experiment", "--edges", DATA]),
 ], ids=["instances0", "instances-2", "replicates-1", "env-replicates-1", "mc-n0",
-        "env-mc-n0"])
+        "env-mc-n0", "grid-n0", "grid-n-3", "env-fine-m0"])
 def test_count_below_one_is_usage_error(tmp_path, capsys, monkeypatch, env, argv):
     # a count below 1 would average over nothing: NaN means in the output
     for name, value in env.items():

@@ -99,3 +99,32 @@ def test_scipy_optimize_stays_behind_lp():
     for path in others:
         with open(path) as fh:
             assert "linprog" not in fh.read(), path
+
+
+def imports_scipy_special(source: str) -> bool:
+    """Whether an import statement of `source` names scipy.special or
+    something inside it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module + "." + a.name for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] == ["scipy", "special"] for name in names):
+            return True
+    return False
+
+
+def test_scipy_special_stays_behind_meanfield():
+    """Only `meanfield` imports from scipy.special: it holds both
+    binomial-tail kernels and the rule that picks one, so no other module
+    evaluates a tail by itself."""
+    for text in ("from scipy import special as sc", "import scipy.special",
+                 "from scipy.special import betainc"):
+        assert imports_scipy_special(text), text
+    assert not imports_scipy_special("import scipy.sparse as sp\nfrom scipy import stats")
+    for path in PACKAGE:
+        with open(path) as fh:
+            found = imports_scipy_special(fh.read())
+        assert found == (os.path.basename(path) == "meanfield.py"), path

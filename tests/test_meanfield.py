@@ -107,6 +107,72 @@ def test_float_tails_match_array_tails():
                 curves.tails(np.asarray(z))
 
 
+def all_pairs(k_max):
+    k = np.repeat(np.arange(k_max + 1), np.arange(1, k_max + 2))
+    return k, np.arange(k.size) - k * (k + 1) // 2
+
+
+@pytest.fixture
+def betainc_calls(monkeypatch):
+    """Count the incomplete-beta evaluations the tail kernels make."""
+    calls = []
+    betainc = meanfield.sc.betainc
+
+    def counted(*args):
+        calls.append(args)
+        return betainc(*args)
+
+    monkeypatch.setattr(meanfield.sc, "betainc", counted)
+    return calls
+
+
+def test_pascal_tails_match_oracle(betainc_calls):
+    # the whole triangle up to k = 60 is one value per pair: Pascal's rule
+    k, r = all_pairs(60)
+    zs = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(0.0, 1.0, 201),
+                         [1.0 - 1e-12, 1.0]])
+    got = meanfield._tail(meanfield._tail_params(k, r), meanfield._grid(zs))
+    assert got.shape == (zs.size, k.size) and not betainc_calls
+    ref = np.array([[tail_sum(ki, ri, z) for ki, ri in zip(k.tolist(), r.tolist())]
+                    for z in zs])
+    big = ref > 1e-290
+    assert np.all(np.abs(got - ref)[big] <= 2e-13 * ref[big])
+    assert np.all(got[~big] <= 1e-280)
+    # exact at the ends: the sure event, then 0 at z = 0 and 1 at z = 1
+    assert np.all(got[:, r == 0] == 1.0)
+    assert np.all(got[0, r > 0] == 0.0) and np.all(got[-1] == 1.0)
+
+
+def test_pascal_and_betainc_tables_agree(monkeypatch, betainc_calls):
+    rng = np.random.default_rng(31)
+    k, r = all_pairs(13)
+    pick = rng.choice(k.size, 20, replace=False)
+    zs = np.linspace(0.0, 1.0, 1001)
+    pascal, (at,) = meanfield._tail_table(zs, (k[pick], r[pick]))
+    assert not betainc_calls
+    monkeypatch.setattr(meanfield, "PASCAL_COST", 0)
+    beta, (at_beta,) = meanfield._tail_table(zs, (k[pick], r[pick]))
+    assert len(betainc_calls) == 1 and np.array_equal(at, at_beta)
+    assert np.all(np.abs(pascal - beta) <= 2e-13 * beta)
+
+
+def test_large_triangle_stays_on_betainc(monkeypatch, betainc_calls):
+    # heavy's pairs reach k = 3,320: a triangle of 5.5M entries for 4 pairs
+    def no_triangle(*args):
+        raise AssertionError("triangle built")
+
+    monkeypatch.setattr(meanfield, "_pascal", no_triangle)
+    k, r = np.array([3320, 3320, 1000, 13]), np.array([1660, 1661, 500, 6])
+    zs = np.linspace(0.0, 1.0, 1001)
+    table, (at,) = meanfield._tail_table(zs, (k, r))
+    assert len(betainc_calls) == 1 and table.shape == (1001, 4)
+    for j in (1, 500, 999):
+        for i in range(4):
+            ref = tail_sum(int(k[i]), int(r[i]), zs[j])
+            # criterion 1's bound between betainc and the oracle at large k
+            assert table[j, at[i]] == pytest.approx(ref, rel=1e-9, abs=1e-300)
+
+
 def test_coeff_a_worked_example():
     w = AgentType(2, 2, 2, lin(2))
     p0 = Statistics({AgentType(1, 1, 1, lin(1)): 2 / 3, w: 1 / 3})

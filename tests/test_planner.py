@@ -8,6 +8,7 @@ import pytest
 from conftest import lin, random_statistics
 from ltmplan import lp, meanfield
 from ltmplan.graph import MultiGraph
+from ltmplan.sampler import realize_intervention
 from ltmplan.planner import (PlannerConfig, PlannerError, alpha_eps,
                              audit_original, audit_relaxed, build_lp, delta_n,
                              plan, solution_to_intervention)
@@ -117,6 +118,26 @@ def test_solution_to_intervention_round_trip():
     assert xi.base is p0
     assert np.abs(np.bincount(xi.code, xi.mass, minlength=3) - p0.m).max() <= 1e-12
     assert intervention_cost(xi) == pytest.approx(sol.objective, abs=1e-9)
+
+
+def test_solution_round_off_is_dropped():
+    # a mass far below its type's mass, moved or left over, is the LP's or
+    # the subtraction's round-off: it must not add an entry to the plan and
+    # with it shift the draws that pick the realized nodes
+    p0 = mixed_quartic()
+    columns = [(0, 1), (1, 1), (1, 2), (2, 1), (2, 3)]
+    clean = solution_to_intervention(p0, columns, [0.3, 0.1, 0.05, 0.0, 0.105])
+    residue = solution_to_intervention(
+        p0, columns, [0.3 * (1 - 1e-15), 0.1, 0.05, 2e-17, 0.105])
+    for a, b in ((clean.code, residue.code), (clean.eta, residue.eta)):
+        assert np.array_equal(a, b)
+    assert np.abs(clean.mass - residue.mass).max() <= 1e-15
+    # 110 nodes: the last type rounds 21.45 and 11.55 nodes, which draws
+    type_of = np.repeat(np.arange(3), [33, 44, 33])
+    rho = p0.r[type_of]
+    for seed in range(5):
+        assert np.array_equal(realize_intervention(type_of, rho, clean, seed=seed),
+                              realize_intervention(type_of, rho, residue, seed=seed))
 
 
 def test_plan_reference_instance():
