@@ -1,27 +1,24 @@
 """Configuration-model sampling and realization of statistical interventions.
 
-Networks are drawn by pairing out-stubs with in-stubs through a uniform
-random permutation, rejecting and redrawing whole permutations until none of
-the pairings is a self-loop.  That is exact rejection: the accepted wiring
-is uniform over the self-loop-free pairings, and a pairing is accepted with
-probability about exp(-<dk>/<d>).  Per-edge repair is deliberately not used:
-it would bias the law away from the uniform conditional distribution.
+Networks are drawn by pairing out-stubs with in-stubs uniformly at random,
+rejecting and redrawing whole pairings until none of them joins a node to
+itself.  That is exact rejection: the accepted wiring is uniform over the
+self-loop-free pairings, and a pairing is accepted with probability about
+exp(-<dk>/<d>).  Per-edge repair is deliberately not used: it would bias the
+law away from the uniform conditional distribution.
 
-Attempts run concurrently, a batch at a time, on one thread per CPU this
-process may use, or inline when that is one; numpy releases the interpreter
-lock for the shuffle and the loop check.  Attempt j draws from child j of
-the seed's generator (`Generator.spawn`), and the lowest-index loop-free
-attempt is accepted, so the wiring depends only on the seed, never on the
-number of threads.
+A pairing is drawn as a table of stub counts between contiguous groups of
+nodes plus a uniform matching inside each block (`_Pairing`).  Only the
+diagonal blocks can hold a self-loop, so an attempt stops at its first loop
+and a rejected draw costs a small fraction of a full pairing.  Attempts run
+one after another on the calling thread; attempt j draws from child j of the
+seed's generator (`Generator.spawn`), so the wiring depends only on the seed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +38,12 @@ def _largest_remainder(targets, total: int, rng) -> np.ndarray:
     """Integer counts summing to total, floor + largest remainder; exact
     remainder ties broken by a seeded shuffle so runs are reproducible."""
     targets = np.asarray(targets, dtype=float)
-    floors = np.floor(targets + 1e-12).astype(np.int64)
+    # a target within round-off of an integer is that integer: LP round-off
+    # such as 16.999999999996742 for 17 nodes must not draw a leftover unit
+    nearest = np.round(targets)
+    near = np.abs(targets - nearest) <= 1e-9 * np.maximum(1.0, nearest)
+    targets = np.where(near, nearest, targets)
+    floors = np.floor(targets).astype(np.int64)
     leftover = total - int(floors.sum())
     if leftover < 0:
         # tolerate tiny overshoot from float noise
@@ -97,12 +99,87 @@ def _expected_loops(p: Statistics) -> float:
     return p.moment("dk") / p.moment("d")
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not available on every platform
-        return os.cpu_count() or 1
+# A rejected attempt of G groups draws about G / <loops> table rows, each
+# with a diagonal block of about m / G^2 stubs, so it costs least near
+# G = sqrt(m * stub cost / row cost).  Measured with numpy 2.4 on an x86-64
+# Xeon vCPU, one row's fixed Python cost (multivariate_hypergeometric, two
+# choice calls and a loop check, about 45 us) is that of drawing about 1,000
+# block stubs, or of shuffling about 2,500.
+GROUP_COST = 1024
+
+
+def _shuffle_runs(rng, a, sizes):
+    """Shuffle the array a in place within consecutive runs of these sizes."""
+    ends = np.cumsum(sizes).tolist()
+    for start, end in zip([0] + ends, ends):
+        rng.shuffle(a[start:end])
+
+
+class _Pairing:
+    """Uniform pairings of out-stubs with in-stubs, each list sorted by node.
+
+    The nodes are split into G contiguous ranges with about equal stub counts.
+    A uniform pairing is a G x G table N of stub counts between the groups
+    plus a uniform matching inside each block.  Row i of N is multivariate
+    hypergeometric over the in-stubs that rows < i left, and since groups
+    are node ranges only a diagonal block can hold a self-loop.  An attempt
+    therefore draws row i and then diagonal block i, i = 0, 1, ..., and stops
+    at the first loop; only an accepted attempt fills the off-diagonal blocks.
+    """
+
+    def __init__(self, kappa, delta):
+        nodes = np.arange(kappa.size)
+        self.tails = np.repeat(nodes, kappa)
+        self.heads_base = np.repeat(nodes, delta)
+        m = self.tails.size
+        groups = max(1, math.isqrt(m // GROUP_COST))
+        stubs = np.cumsum(kappa + delta)
+        # first node of groups 1, ..., G - 1
+        cut = 1 + np.searchsorted(stubs, np.arange(1, groups) * (2 * m / groups))
+        # group i owns tails[out_at[i]:out_at[i + 1]], likewise heads_base
+        self.out_at = np.concatenate(([0], np.searchsorted(self.tails, cut), [m]))
+        self.in_at = np.concatenate(([0], np.searchsorted(self.heads_base, cut), [m]))
+        self.label = np.min_scalar_type(groups)
+
+    def draw(self, rng):
+        """Heads aligned with tails for a loop-free pairing, or None when the
+        attempt met a self-loop."""
+        out_count, in_count = np.diff(self.out_at), np.diff(self.in_at)
+        in_left = in_count.copy()
+        table = np.empty((out_count.size, out_count.size), dtype=np.int64)
+        outs, ins = [], []
+        for i in range(out_count.size):
+            table[i] = rng.multivariate_hypergeometric(in_left, out_count[i])
+            in_left -= table[i]
+            # block i: a uniform set of N_ii out-stubs of group i, paired with
+            # a uniform sequence of N_ii of its in-stubs
+            out = self.out_at[i] + rng.choice(out_count[i], table[i, i],
+                                              replace=False, shuffle=False)
+            inn = self.in_at[i] + rng.choice(in_count[i], table[i, i],
+                                             replace=False)
+            if np.any(self.tails[out] == self.heads_base[inn]):
+                return None
+            outs.append(out)
+            ins.append(inn)
+        outs, ins = np.concatenate(outs), np.concatenate(ins)
+        heads = np.empty_like(self.heads_base)
+        heads[outs] = self.heads_base[ins]
+        free_out = np.ones(heads.size, dtype=bool)
+        free_out[outs] = False
+        free_in = np.ones(heads.size, dtype=bool)
+        free_in[ins] = False
+        # the off-diagonal blocks: shuffle the free in-stubs within their
+        # column group, deal them to the rows by the off-diagonal counts,
+        # then shuffle them within each row onto that row's free out-stubs
+        np.fill_diagonal(table, 0)
+        stubs = np.flatnonzero(free_in)
+        _shuffle_runs(rng, stubs, table.sum(axis=0))
+        row = np.repeat(np.tile(np.arange(table.shape[0], dtype=self.label),
+                                table.shape[0]), table.T.ravel())
+        stubs = stubs[np.argsort(row, kind="stable")]
+        _shuffle_runs(rng, stubs, table.sum(axis=1))
+        heads[free_out] = self.heads_base[stubs]
+        return heads
 
 
 def sample_configuration_model(p: Statistics, n: int, seed=None,
@@ -110,9 +187,9 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     """Draw a network with n nodes and type statistics p.
 
     Out-stubs (node repeated by out-degree) are matched to in-stubs (node
-    repeated by in-degree) by a uniform permutation, redrawn until no stub
+    repeated by in-degree) by a uniform pairing, redrawn until no stub
     pairing joins a node to itself.  Attempt j (1-based, at most
-    max_retries) shuffles with child j of `Generator.spawn`; the first
+    max_retries) draws from child j of `Generator.spawn`; the first
     loop-free attempt is accepted and `SampleInfo.attempts` is its index.
     Returns (graph, thresholds, per-node type codes into p.types(),
     SampleInfo).
@@ -132,33 +209,16 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     if int(kappa.sum()) != int(delta.sum()):
         raise SamplerError("stub imbalance after rounding: %d out vs %d in"
                            % (int(kappa.sum()), int(delta.sum())))
-    tails = np.repeat(np.arange(type_of.size), kappa)
-    heads_base = np.repeat(np.arange(type_of.size), delta)
+    pairing = _Pairing(kappa, delta)
     loops = _expected_loops(p)
     acceptance = math.exp(-loops)
-
-    def draw(stream):
-        heads = stream.permutation(heads_base)
-        return None if np.any(tails == heads) else heads
-
-    # no more workers than attempts; one worker draws inline, where a pool
-    # would only add its set-up cost
-    workers = min(_cpu_count(), max_retries)
-    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        run = map if pool is None else pool.map
-        tried = 0
-        while tried < max_retries:
-            batch = min(workers, max_retries - tried)
-            drawn = list(run(draw, rng.spawn(batch)))
-            for attempt, heads in enumerate(drawn, tried + 1):
-                if heads is not None:
-                    log.debug("accepted attempt %d, predicted acceptance "
-                              "exp(-<dk>/<d>) = %.4g, %d workers",
-                              attempt, acceptance, workers)
-                    g = MultiGraph(type_of.size, tails, heads)
-                    info = SampleInfo(attempt, p.nu(), acceptance)
-                    return g, rho, type_of, info
-            tried += batch
+    for attempt in range(1, max_retries + 1):
+        heads = pairing.draw(rng.spawn(1)[0])
+        if heads is not None:
+            log.debug("accepted attempt %d, predicted acceptance "
+                      "exp(-<dk>/<d>) = %.4g", attempt, acceptance)
+            g = MultiGraph(type_of.size, pairing.tails, heads)
+            return g, rho, type_of, SampleInfo(attempt, p.nu(), acceptance)
     raise SamplerError(
         "no self-loop-free wiring found in %d draws; asymptotic acceptance is "
         "exp(-<dk>/<d>) = %.3g with <dk>/<d> = %.3g, consider a larger retry "

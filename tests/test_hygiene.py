@@ -128,3 +128,15 @@ def test_scipy_special_stays_behind_meanfield():
         with open(path) as fh:
             found = imports_scipy_special(fh.read())
         assert found == (os.path.basename(path) == "meanfield.py"), path
+
+
+def test_no_threads_in_package():
+    """No module of the package imports `threading` or `concurrent.futures`:
+    its work is Python calls and numpy kernels under the interpreter lock,
+    where threads cost memory and gain no time."""
+    assert imported_modules("from concurrent import futures\nimport threading") \
+        == {"concurrent", "threading"}
+    for path in PACKAGE:
+        with open(path) as fh:
+            modules = imported_modules(fh.read())
+        assert not {m for m in modules if m.split(".")[0] in ("concurrent", "threading")}, path

@@ -1,9 +1,9 @@
 import collections
 import itertools
 import json
-import logging
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -90,30 +90,22 @@ def test_sample_is_reproducible():
     assert np.array_equal(g4.heads, g5.heads)
 
 
-def test_sample_does_not_depend_on_worker_count(monkeypatch, caplog):
-    # d = k = 3 accepts about one pairing in e^3.  Seed 1 needs 45 attempts;
-    # seed 35 needs 5, and attempt 7 of the same batch of 4 is loop-free too
+def test_sample_does_not_depend_on_worker_count(monkeypatch):
+    # d = k = 3 accepts about one pairing in e^3: seed 35 needs 13 attempts
+    # and seed 1 needs 25.  Attempts run one after another on the calling
+    # thread, so the CPUs the process may use change nothing
     p = Statistics({AgentType(3, 3, 1, lin(1)): 1.0})
-    caplog.set_level(logging.DEBUG, logger="ltmplan.sampler")
-    pools = []
 
-    class CountedPool(sampler.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(args)
-            super().__init__(*args, **kwargs)
+    def no_threads(self):
+        raise AssertionError("the sampler started a thread")
 
-    monkeypatch.setattr(sampler, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
     for seed in (35, 1):
         runs = []
-        for workers in (1, 4):
+        for cpus in (1, 4):
             monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid, w=workers: set(range(w)), raising=False)
-            caplog.clear()
-            pools.clear()
+                                lambda pid, c=cpus: set(range(c)), raising=False)
             runs.append(sample_configuration_model(p, 200, seed=seed))
-            assert "%d workers" % workers in caplog.text
-            # one worker draws inline, without building an executor
-            assert pools == ([] if workers == 1 else [(workers,)])
             attempts = runs[-1][3].attempts
             with pytest.raises(SamplerError, match="in %d draws" % (attempts - 1)):
                 sample_configuration_model(p, 200, seed=seed,
@@ -159,6 +151,54 @@ def test_sample_is_uniform_over_loop_free_pairings():
     assert pvalue > 1e-3
 
 
+@pytest.mark.parametrize("out_deg, in_deg, groups, outcomes", [
+    ((2, 1, 2, 1, 1), (1, 2, 1, 2, 1), 2, 328),
+    # the last group has no in-stubs
+    ((2, 2, 2, 3), (3, 3, 3, 0), 3, 174),
+])
+def test_grouped_pairing_is_uniform_over_loop_free_pairings(
+        monkeypatch, out_deg, in_deg, groups, outcomes):
+    # GROUP_COST = 1 splits the m stubs into isqrt(m) groups, the most the
+    # rule allows.  Every loop-free sequence of in-stub nodes along the
+    # out-stubs must be drawn equally often, and an attempt must be accepted
+    # with the exact loop-free share of all sequences
+    monkeypatch.setattr(sampler, "GROUP_COST", 1)
+    pairing = sampler._Pairing(np.array(out_deg), np.array(in_deg))
+    assert pairing.out_at.size == groups + 1
+    tails = pairing.tails
+    sequences = set(itertools.permutations(pairing.heads_base.tolist()))
+    law = sorted(s for s in sequences if not np.any(tails == np.array(s)))
+    assert len(law) == outcomes
+    rng = np.random.default_rng(17)
+    draws = 10 * outcomes
+    seen = collections.Counter()
+    attempts = 0
+    while sum(seen.values()) < draws:
+        attempts += 1
+        heads = pairing.draw(rng)
+        if heads is not None:
+            seen[tuple(heads.tolist())] += 1
+    assert set(seen) <= set(law)
+    _, pvalue = chisquare([seen[s] for s in law])
+    assert pvalue > 1e-3
+    exact = outcomes / len(sequences)
+    assert abs(draws / attempts - exact) < 4 * math.sqrt(exact * (1 - exact) / attempts)
+
+
+def test_grouped_pairing_acceptance_law(monkeypatch):
+    # d = k = 4 at n = 2,000 split into 16 groups: an attempt that stops at
+    # its first loop must still be accepted with probability e^-4
+    monkeypatch.setattr(sampler, "GROUP_COST", 31)
+    degrees = np.full(2000, 4)
+    pairing = sampler._Pairing(degrees, degrees)
+    assert pairing.out_at.size - 1 >= 16
+    rng = np.random.default_rng(18)
+    attempts = 10_000
+    accepted = sum(pairing.draw(rng) is not None for _ in range(attempts))
+    law = math.exp(-4.0)
+    assert abs(accepted / attempts - law) < 4 * math.sqrt(law * (1 - law) / attempts)
+
+
 def test_sample_rejects_unbalanced_statistics():
     p = Statistics({AgentType(1, 3, 1, lin(1)): 1.0})  # <d> != <k>
     with pytest.raises(SamplerError, match="not realizable"):
@@ -194,6 +234,21 @@ def test_realize_intervention():
             assert w_i == w
             reduced[h[i]] += 1
     assert reduced == {1: 4, 2: 4}  # 0.1 * 40 nodes at each depth
+
+
+def test_realize_intervention_ignores_round_off():
+    # 100 * (0.17 - 1e-12) is 16.9999999999, LP round-off of 17 nodes: it
+    # must not draw a leftover node, which would shift every later pick
+    w = AgentType(3, 3, 2, lin(2))
+    p = Statistics({w: 1.0})
+    picks = []
+    for delta in (0.0, 1e-12):
+        xi = StatIntervention.from_masses(p, {(w, 0): 0.83 + delta,
+                                              (w, 1): 0.17 - delta})
+        picks.append(realize_intervention(np.zeros(100, dtype=np.int64),
+                                          np.full(100, 2), xi, seed=19))
+    assert np.count_nonzero(picks[0]) == 17
+    assert np.array_equal(picks[0], picks[1])
 
 
 def test_realize_intervention_rejects_missing_nodes():
