@@ -13,12 +13,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .graph import (GraphError, apply_intervention, check_thresholds,
-                    parse_edge_list)
+from .graph import (GraphError, apply_intervention, cascade_fractions,
+                    check_thresholds, parse_edge_list)
 from .meanfield import dump_curves, recursion
 from .planner import PlannerConfig, PlannerError, plan
-from .sampler import (SamplerError, cascade_fractions, monte_carlo_validate,
-                      realize_intervention)
+from .sampler import (SamplerError, monte_carlo_validate, realize_intervention,
+                      trajectory_table)
 from .typestats import (StatsError, cost_rule, extract_statistics,
                         intervention_from_records, statistics_from_records,
                         statistics_to_records, threshold_rule)
@@ -157,16 +157,11 @@ def cmd_plan(args):
     return EXIT_OK
 
 
-def _write_trajectory_csv(path, ys, zs, rec):
-    """Y(t), Z(t) of a run beside y(t), z(t) of the recursion's (z, y) list;
-    the shorter trajectory holds its last value."""
-    columns = [ys, zs, *np.array(rec).T[::-1]]
-    horizon = max(c.size for c in columns)
-    rows = np.column_stack([np.pad(c, (0, horizon - c.size), mode="edge")
-                            for c in columns])
+def _write_trajectory_csv(path, table):
+    """A run-versus-recursion table (`trajectory_table`), one row per step."""
     with open(path, "w") as fh:
         fh.write("t,Y,Z,y_recursion,z_recursion\n")
-        for t, row in enumerate(rows.tolist()):
+        for t, row in enumerate(table.tolist()):
             fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (t, *row))
 
 
@@ -178,7 +173,7 @@ def _realize_and_compare(g, type_of, rho, xi, seed, csv_path):
     h = realize_intervention(type_of, rho, xi, seed=seed)
     ys, zs, _ = cascade_fractions(g, apply_intervention(rho, h))
     rec, _ = recursion(xi.post)
-    _write_trajectory_csv(csv_path, ys, zs, rec)
+    _write_trajectory_csv(csv_path, trajectory_table(ys, zs, rec))
     return h, ys
 
 
@@ -213,10 +208,9 @@ def cmd_validate(args):
     report = monte_carlo_validate(xi, n=args.mc_n,
                                   replicates=args.replicates,
                                   eps=args.eps, seed=args.seed)
-    for rep, (ys, zs) in enumerate(report.network_trajectories):
+    for rep, table in enumerate(report.tables):
         _write_trajectory_csv(
-            os.path.join(args.out, "trajectory_rep%03d.csv" % rep),
-            ys, zs, report.recursion_trajectory)
+            os.path.join(args.out, "trajectory_rep%03d.csv" % rep), table)
     _write_json(os.path.join(args.out, "validate.json"), report.to_dict())
     print("monte carlo: %d replicates, success rate %.2f, sup|Y-y|=%.4f"
           % (report.replicates, report.success_rate, report.sup_dev_y))

@@ -21,14 +21,15 @@ class GraphError(ValueError):
     """Malformed graph, state, threshold or intervention data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiGraph:
-    """Immutable directed multigraph given by parallel tail/head arrays."""
+    """Immutable directed multigraph given by parallel tail/head arrays.
+    Two graphs compare equal only when they are the same object."""
 
     n: int
     tails: np.ndarray
     heads: np.ndarray
-    _adj: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    _adj: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -143,6 +144,20 @@ def ltm_trajectory(g: MultiGraph, rho, x0, t_max: int):
     return states, fixed, len(states) - 1
 
 
+def cascade_fractions(g: MultiGraph, rho):
+    """Run the cascade from all-zeros; return per-step (active fraction Y,
+    fraction of links pointing to active nodes Z) and the fixed-point flag."""
+    # from all-zeros the dynamics are monotone, so the fixed point arrives
+    # within n steps; one extra step confirms it
+    states, fixed, _ = ltm_trajectory(g, rho, np.zeros(g.n, dtype=np.int8), g.n + 1)
+    delta = g.in_degrees
+    # a link-free network has Z = 0 throughout
+    total_links = float(delta.sum()) or 1.0
+    ys = np.array([s.sum() / g.n for s in states])
+    zs = np.array([(delta * s).sum() / total_links for s in states])
+    return ys, zs, fixed
+
+
 def apply_intervention(rho, h) -> np.ndarray:
     """Reduce thresholds entry-wise; h must not exceed rho anywhere."""
     rho = np.asarray(rho, dtype=np.int64)
@@ -168,16 +183,13 @@ def check_target(g: MultiGraph, rho, h, eps: float):
     """Simulate from the all-zeros state under reduced thresholds and test
     whether the final active fraction reaches 1 - eps.
 
-    Returns (ok, final_fraction, t_stop).  The horizon is n steps; from the
-    all-zeros state the dynamics is monotone, so stopping at the first fixed
-    point gives the same terminal state.
+    Returns (ok, final_fraction, t_stop), read off `cascade_fractions`.
     """
     if not (0 < eps <= 1):
         raise GraphError("eps must lie in (0, 1]")
-    reduced = apply_intervention(check_thresholds(g, rho), h)
-    states, _, t_stop = ltm_trajectory(g, reduced, np.zeros(g.n, dtype=np.int8), g.n)
-    frac = active_fraction(states[-1])
-    return frac >= 1.0 - eps, frac, t_stop
+    ys, _, _ = cascade_fractions(g, apply_intervention(check_thresholds(g, rho), h))
+    frac = float(ys[-1])
+    return frac >= 1.0 - eps, frac, ys.size - 1
 
 
 def parse_edge_list(path, undirected: bool = False, drop_self_loops: bool = False):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MultiGraph, ltm_trajectory
+from .graph import MultiGraph, cascade_fractions
 from .meanfield import recursion
 from .typestats import Statistics, StatIntervention, check_well_posed
 
@@ -81,7 +81,6 @@ def round_intervention(xi: StatIntervention, n: int, seed=None) -> np.ndarray:
 @dataclass(frozen=True)
 class SampleInfo:
     attempts: int
-    nu: float
     predicted_acceptance: float   # exp(-<dk>/<d>), the law of this sampler
 
 
@@ -95,8 +94,10 @@ def _type_counts(p: Statistics, n: int, rng) -> np.ndarray:
 
 def _expected_loops(p: Statistics) -> float:
     # a uniform pairing joins sum_i d_i k_i / (n <d>) = <dk>/<d> stub pairs
-    # of the same node on average, Poisson in the large-n limit
-    return p.moment("dk") / p.moment("d")
+    # of the same node on average, Poisson in the large-n limit; with no
+    # links there is none
+    mean_d = p.moment("d")
+    return p.moment("dk") / mean_d if mean_d else 0.0
 
 
 # A rejected attempt of G groups draws about G / <loops> table rows, each
@@ -218,7 +219,7 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
             log.debug("accepted attempt %d, predicted acceptance "
                       "exp(-<dk>/<d>) = %.4g", attempt, acceptance)
             g = MultiGraph(type_of.size, pairing.tails, heads)
-            return g, rho, type_of, SampleInfo(attempt, p.nu(), acceptance)
+            return g, rho, type_of, SampleInfo(attempt, acceptance)
     raise SamplerError(
         "no self-loop-free wiring found in %d draws; asymptotic acceptance is "
         "exp(-<dk>/<d>) = %.3g with <dk>/<d> = %.3g, consider a larger retry "
@@ -230,43 +231,42 @@ def realize_intervention(type_of, rho, xi: StatIntervention,
     """Turn a statistical intervention into per-node threshold reductions on a
     concrete network whose node i has type xi.base.types()[type_of[i]].
 
-    xi is rounded to node counts per entry on len(type_of) nodes; for
-    each count with eta >= 1, in (type, eta) order, that many nodes of the
-    type not yet picked are drawn uniformly without replacement and reduced
-    by eta.  Returns the per-node reductions h.
+    xi is rounded to node counts per entry on len(type_of) nodes, and each
+    type's counts must add up to its node count on the network: a network
+    with more or fewer nodes of a type is not one xi was planned for.  The
+    nodes are shuffled once and stably sorted by type, so each type's nodes
+    form one run in uniform random order, and the entries' reductions are
+    dealt onto them in (type, eta) order.  Returns the per-node reductions h.
     """
     rng = np.random.default_rng(seed)
     type_of = np.asarray(type_of)
     counts = round_intervention(xi, type_of.size, seed=rng)
-    h = np.zeros(type_of.size, dtype=np.int64)
-    pools: dict = {}
-    for code, eta, c in zip(xi.code.tolist(), xi.eta.tolist(), counts.tolist()):
-        if eta == 0 or c == 0:
-            continue
-        pool = pools[code] if code in pools else np.flatnonzero(type_of == code)
-        if c > pool.size:
-            raise SamplerError("intervention asks for %d nodes of type %s, only %d "
-                               "available" % (c, xi.base.types()[code].label, pool.size))
-        chosen = rng.choice(pool.size, size=c, replace=False)
-        h[pool[chosen]] = eta
-        pools[code] = np.delete(pool, chosen)
+    types = xi.base.types()
+    have = np.bincount(type_of, minlength=len(types))
+    want = np.bincount(xi.code, counts, minlength=have.size).astype(np.int64)
+    for bad, text in ((want > have, "asks for %d nodes of type %s, only %d available"),
+                      (want < have, "places %d nodes of type %s, the network has %d")):
+        if bad.any():
+            code = np.flatnonzero(bad)[0]
+            raise SamplerError("intervention " + text
+                               % (want[code], types[code].label, have[code]))
+    order = rng.permutation(type_of.size)
+    h = np.empty(type_of.size, dtype=np.int64)
+    h[order[np.argsort(type_of[order], kind="stable")]] = np.repeat(xi.eta, counts)
     rho = np.asarray(rho, dtype=np.int64)
     if np.any(h > rho):
         raise SamplerError("realized intervention exceeds thresholds")
     return h
 
 
-def cascade_fractions(g: MultiGraph, rho):
-    """Run the cascade from all-zeros; return per-step (active fraction Y,
-    fraction of links pointing to active nodes Z)."""
-    # from all-zeros the dynamics are monotone, so the fixed point arrives
-    # within n steps; one extra step confirms it
-    states, fixed, _ = ltm_trajectory(g, rho, np.zeros(g.n, dtype=np.int8), g.n + 1)
-    delta = g.in_degrees
-    total_links = float(delta.sum())
-    ys = np.array([s.sum() / g.n for s in states])
-    zs = np.array([(delta * s).sum() / total_links for s in states])
-    return ys, zs, fixed
+def trajectory_table(ys, zs, rec) -> np.ndarray:
+    """Rows (Y(t), Z(t), y(t), z(t)): a run's active and link fractions
+    beside the mean-field recursion's list of (z, y) pairs, aligned by
+    index; the shorter trajectory holds its last value."""
+    columns = [ys, zs, *np.array(rec).T[::-1]]
+    horizon = max(c.size for c in columns)
+    return np.column_stack([np.pad(c, (0, horizon - c.size), mode="edge")
+                            for c in columns])
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,7 @@ class McReport:
     success_rate: float
     sup_dev_y: float
     sup_dev_z: float
-    network_trajectories: list
-    recursion_trajectory: list
+    tables: list                  # trajectory_table of each replicate
     nu: float
     mean_attempts: float
     attempts: list                # accepted attempt index per replicate
@@ -311,30 +310,20 @@ def monte_carlo_validate(xi: StatIntervention, n: int, replicates: int,
         raise ValueError("replicates must be >= 1, got %d" % replicates)
     post = xi.post
     rec, _ = recursion(post)
-    # the recursion output lags one step: y(t+1) = psi(z(t)); align by index
-    mean_field = np.array(rec).T[::-1]      # rows y(t), z(t)
-    sup = np.zeros(2)
-    finals = []
-    attempts = []
-    trajectories = []
+    attempts, tables = [], []
     for rng_seed in np.random.SeedSequence(seed).spawn(replicates):
         g, rho, _, info = sample_configuration_model(post, n, seed=rng_seed)
         attempts.append(info.attempts)
         ys, zs, _ = cascade_fractions(g, rho)
-        trajectories.append((ys, zs))
-        finals.append(float(ys[-1]))
-        # the shorter trajectory holds its last value
-        horizon = max(ys.size, len(rec))
-        network = np.pad([ys, zs], ((0, 0), (0, horizon - ys.size)), mode="edge")
-        predicted = np.pad(mean_field, ((0, 0), (0, horizon - len(rec))), mode="edge")
-        sup = np.maximum(sup, np.max(np.abs(network - predicted), axis=1))
-    finals = np.array(finals)
+        tables.append(trajectory_table(ys, zs, rec))
+    finals = np.array([table[-1, 0] for table in tables])
+    sup = np.max([np.abs(table[:, :2] - table[:, 2:]).max(axis=0)
+                  for table in tables], axis=0)
     return McReport(
         replicates=replicates, final_fractions=finals,
         success_rate=float(np.mean(finals >= 1.0 - eps)),
         sup_dev_y=float(sup[0]), sup_dev_z=float(sup[1]),
-        network_trajectories=trajectories,
-        recursion_trajectory=rec,
+        tables=tables,
         nu=post.nu(),
         mean_attempts=float(np.mean(attempts)),
         attempts=attempts,

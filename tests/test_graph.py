@@ -1,11 +1,13 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
 from ltmplan.graph import (GraphError, MultiGraph, active_fraction,
-                           apply_intervention, check_target, check_thresholds,
-                           ltm_step, ltm_trajectory, parse_edge_list)
+                           apply_intervention, cascade_fractions, check_target,
+                           check_thresholds, ltm_step, ltm_trajectory,
+                           parse_edge_list)
 
 
 def test_degrees_and_no_self_loops(path3):
@@ -14,6 +16,12 @@ def test_degrees_and_no_self_loops(path3):
     assert path3.edge_count == 4
     with pytest.raises(GraphError, match="self-loop"):
         MultiGraph(2, np.array([0, 1]), np.array([1, 1]))
+
+
+def test_graph_equality_is_identity(path3):
+    g = MultiGraph(3, [0, 1], [1, 2])
+    assert g == g and g != MultiGraph(3, [0, 1], [1, 2])
+    assert len({g, path3, g}) == 2
 
 
 def test_step_sequence(path3):
@@ -120,6 +128,17 @@ def test_trajectory_from_zero_monotone_and_short():
         assert fixed and t <= g.n
         for a, b in zip(states, states[1:]):
             assert np.all(a <= b)
+
+
+def test_check_target_without_links():
+    # no link to weigh Z by: the cascade reads Z = 0, without a warning
+    g = MultiGraph(2, np.array([], dtype=int), np.array([], dtype=int))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_target(g, np.zeros(2, dtype=int), np.zeros(2, dtype=int), 0.1) \
+            == (True, 1.0, 1)
+        ys, zs, fixed = cascade_fractions(g, np.zeros(2, dtype=int))
+    assert ys.tolist() == [0.0, 1.0] and zs.tolist() == [0.0, 0.0] and fixed
 
 
 def test_parallel_edges_count_with_multiplicity():

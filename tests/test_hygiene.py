@@ -140,3 +140,29 @@ def test_no_threads_in_package():
         with open(path) as fh:
             modules = imported_modules(fh.read())
         assert not {m for m in modules if m.split(".")[0] in ("concurrent", "threading")}, path
+
+
+def refers_to(source: str, name: str) -> bool:
+    """Whether `source` imports `name` or reads it, as a name or as an
+    attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name):
+            return True
+    return False
+
+
+def test_cascade_stays_in_graph():
+    """No module of the package but `graph` refers to `ltm_trajectory`: the
+    cascade from all-zeros is `graph.cascade_fractions`, and everything
+    else reads its fractions.  `__init__.py` only re-exports the name."""
+    for text in ("from .graph import ltm_trajectory", "graph.ltm_trajectory(g)",
+                 "ltm_trajectory(g)"):
+        assert refers_to(text, "ltm_trajectory"), text
+    assert not refers_to("from .graph import cascade_fractions", "ltm_trajectory")
+    for path in PACKAGE:
+        with open(path) as fh:
+            found = refers_to(fh.read(), "ltm_trajectory")
+        if os.path.basename(path) != "__init__.py":
+            assert found == (os.path.basename(path) == "graph.py"), path

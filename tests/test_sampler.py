@@ -11,10 +11,11 @@ from scipy.stats import chisquare
 
 from conftest import lin
 from ltmplan import sampler
+from ltmplan.graph import cascade_fractions
 from ltmplan.sampler import (SamplerError, _largest_remainder,
-                             cascade_fractions, monte_carlo_validate,
-                             realize_intervention, round_intervention,
-                             sample_configuration_model)
+                             monte_carlo_validate, realize_intervention,
+                             round_intervention, sample_configuration_model,
+                             trajectory_table)
 from ltmplan.typestats import (AgentType, StatIntervention, Statistics,
                                null_intervention)
 
@@ -205,6 +206,15 @@ def test_sample_rejects_unbalanced_statistics():
         sample_configuration_model(p, 50, seed=1)
 
 
+def test_sample_without_links():
+    # <d> = 0: no stub to pair, so the first attempt is loop-free
+    p = Statistics({AgentType(0, 0, 0, (0.0,)): 1.0})
+    g, rho, type_of, info = sample_configuration_model(p, 5, seed=1)
+    assert (g.n, g.edge_count) == (5, 0)
+    assert list(rho) == [0] * 5 and list(type_of) == [0] * 5
+    assert info.attempts == 1 and info.predicted_acceptance == 1.0
+
+
 def test_sample_acceptance_law():
     # single type d = k = 3: the measured no-self-loop acceptance follows
     # exp(-<dk>/<d>) = e^-3, an order of magnitude below exp(-nu/2) = e^-1
@@ -251,6 +261,42 @@ def test_realize_intervention_ignores_round_off():
     assert np.array_equal(picks[0], picks[1])
 
 
+def test_realize_intervention_is_uniform():
+    # 4 nodes of one type rounded to 2 at eta 0, 1 at eta 1 and 1 at eta 2:
+    # each of the 4! / 2! = 12 assignments is equally likely
+    w = AgentType(2, 2, 2, lin(2))
+    xi = StatIntervention.from_masses(Statistics({w: 1.0}),
+                                      {(w, 0): 0.5, (w, 1): 0.25, (w, 2): 0.25})
+    seen = collections.Counter(
+        tuple(realize_intervention(np.zeros(4, dtype=np.int64), np.full(4, 2), xi,
+                                   seed=s).tolist())
+        for s in range(6000))
+    assert set(seen) == set(itertools.permutations((0, 0, 1, 2)))
+    assert chisquare(list(seen.values())).pvalue > 1e-3
+
+
+def test_realize_intervention_rejects_surplus_nodes():
+    # a 6/4 network under a plan that rounds to 5/5: not the network the
+    # plan was computed for, although its one eta = 1 node of the first
+    # type is available; the short type is named first
+    first, second = AgentType(2, 2, 2, lin(2)), AgentType(3, 3, 1, lin(1))
+    p = Statistics({first: 0.5, second: 0.5})
+    xi = StatIntervention.from_masses(p, {(first, 0): 0.4, (first, 1): 0.1,
+                                          (second, 0): 0.5})
+    type_of = np.repeat([0, 1], [6, 4])
+    with pytest.raises(SamplerError, match=r"asks for 5 nodes of type \(d=3, k=3, "
+                                           r"r=1\), only 4 available"):
+        realize_intervention(type_of, np.full(10, 2), xi, seed=14)
+    # three types of mass 1/3 round to 3 nodes each on 10: the fourth node
+    # of the first type is a surplus, with no shortage elsewhere
+    types = [AgentType(2, 2, 1, lin(1)), first, second]
+    p = Statistics({w: 1 / 3 for w in types})
+    xi = StatIntervention.from_masses(p, {(w, 1): 1 / 3 for w in types})
+    with pytest.raises(SamplerError, match=r"places 3 nodes of type \(d=2, k=2, "
+                                           r"r=1\), the network has 4"):
+        realize_intervention(np.repeat([0, 1, 2], [4, 3, 3]), np.full(10, 2), xi)
+
+
 def test_realize_intervention_rejects_missing_nodes():
     # p's second type has mass, but no node of the network has that type
     first, second = AgentType(2, 2, 2, lin(2)), AgentType(3, 3, 1, lin(1))
@@ -269,6 +315,15 @@ def test_cascade_fractions(path3):
     assert zs == pytest.approx([0.0, 0.25, 0.75, 1.0])
 
 
+def test_trajectory_table_holds_shorter_trajectory():
+    rec = [(0.0, 0.0), (0.5, 0.25), (0.75, 0.5), (0.875, 0.75)]
+    table = trajectory_table(np.array([0.0, 1.0]), np.array([0.0, 1.0]), rec)
+    assert table.tolist() == [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.25, 0.5],
+                              [1.0, 1.0, 0.5, 0.75], [1.0, 1.0, 0.75, 0.875]]
+    assert trajectory_table(np.zeros(6), np.ones(6), rec)[4:, 2:].tolist() \
+        == [[0.75, 0.875]] * 2
+
+
 def test_monte_carlo_tracks_recursion():
     p0 = Statistics({AgentType(3, 3, 0, (0.0,)): 0.2,
                      AgentType(3, 3, 1, lin(1)): 0.8})
@@ -283,6 +338,19 @@ def test_monte_carlo_tracks_recursion():
     assert len(doc["attempts"]) == 3 and min(doc["attempts"]) >= 1
     assert doc["mean_attempts"] == pytest.approx(np.mean(doc["attempts"]))
     assert doc["predicted_acceptance"] == pytest.approx(math.exp(-3.0))
+
+
+def test_monte_carlo_reads_its_tables():
+    # final fractions and sup deviations are read off the per-replicate
+    # run-versus-recursion tables
+    p0 = Statistics({AgentType(3, 3, 0, (0.0,)): 0.2,
+                     AgentType(3, 3, 1, lin(1)): 0.8})
+    rep = monte_carlo_validate(null_intervention(p0), n=2_000,
+                               replicates=2, eps=0.1, seed=17)
+    assert len(rep.tables) == 2
+    assert [t[-1, 0] for t in rep.tables] == list(rep.final_fractions)
+    for col, sup in ((0, rep.sup_dev_y), (1, rep.sup_dev_z)):
+        assert sup == max(np.abs(t[:, col] - t[:, col + 2]).max() for t in rep.tables)
 
 
 def test_monte_carlo_detects_failure():
