@@ -23,12 +23,15 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MultiGraph:
-    """Immutable directed multigraph given by parallel tail/head arrays.
-    Two graphs compare equal only when they are the same object."""
+    """Immutable directed multigraph given by parallel tail/head arrays,
+    with its out- and in-degrees stored read-only.  Two graphs compare
+    equal only when they are the same object."""
 
     n: int
     tails: np.ndarray
     heads: np.ndarray
+    out_degrees: np.ndarray = field(init=False, repr=False)
+    in_degrees: np.ndarray = field(init=False, repr=False)
     _adj: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -48,13 +51,19 @@ class MultiGraph:
                 raise GraphError(
                     "self-loop at edge %d (node %d)" % (bad, int(tails[bad]))
                 )
-        tails.setflags(write=False)
-        heads.setflags(write=False)
-        object.__setattr__(self, "tails", tails)
-        object.__setattr__(self, "heads", heads)
-        # adjacency counts A[i, j] = edges i -> j; construction sums duplicates
+        out_degrees = np.bincount(tails, minlength=self.n)
+        in_degrees = np.bincount(heads, minlength=self.n)
+        for name, a in (("tails", tails), ("heads", heads),
+                        ("out_degrees", out_degrees), ("in_degrees", in_degrees)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        # row i of the adjacency lists the heads of node i's edges, repeated
+        # heads included: a product with it counts them with multiplicity.
+        # The stable sort is linear on tails that are already sorted
+        indptr = np.concatenate(([0], np.cumsum(out_degrees)))
         adj = sp.csr_matrix(
-            (np.ones(tails.size, dtype=np.int64), (tails, heads)),
+            (np.ones(tails.size, dtype=np.int64),
+             heads[np.argsort(tails, kind="stable")], indptr),
             shape=(self.n, self.n),
         )
         object.__setattr__(self, "_adj", adj)
@@ -62,14 +71,6 @@ class MultiGraph:
     @property
     def edge_count(self) -> int:
         return int(self.tails.size)
-
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.tails, minlength=self.n)
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.heads, minlength=self.n)
 
     def neighbor_activity(self, x: np.ndarray) -> np.ndarray:
         """Per-node count of active observed neighbors, with multiplicity."""
@@ -152,9 +153,9 @@ def cascade_fractions(g: MultiGraph, rho):
     states, fixed, _ = ltm_trajectory(g, rho, np.zeros(g.n, dtype=np.int8), g.n + 1)
     delta = g.in_degrees
     # a link-free network has Z = 0 throughout
-    total_links = float(delta.sum()) or 1.0
-    ys = np.array([s.sum() / g.n for s in states])
-    zs = np.array([(delta * s).sum() / total_links for s in states])
+    total_links = float(g.edge_count) or 1.0
+    ys = np.array([np.count_nonzero(s) / g.n for s in states])
+    zs = np.array([np.dot(delta, s) / total_links for s in states])
     return ys, zs, fixed
 
 

@@ -9,10 +9,16 @@ law away from the uniform conditional distribution.
 
 A pairing is drawn as a table of stub counts between contiguous groups of
 nodes plus a uniform matching inside each block (`_Pairing`).  Only the
-diagonal blocks can hold a self-loop, so an attempt stops at its first loop
-and a rejected draw costs a small fraction of a full pairing.  Attempts run
-one after another on the calling thread; attempt j draws from child j of the
-seed's generator (`Generator.spawn`), so the wiring depends only on the seed.
+diagonal blocks can hold a self-loop.  An attempt keeps each table row with
+the exact probability that its diagonal block holds none (`_LoopFree`, by
+inclusion-exclusion over rook numbers) and stops at the first rejection, so
+a rejected draw samples no stub.  Only an accepted table draws its blocks,
+each diagonal one by rejection within the block.  The table is accepted with
+the probability that a uniform pairing is loop-free and each block is then
+uniform over its loop-free matchings, so the law is that of whole-pairing
+rejection.  Attempts run one after another on the calling thread; attempt j
+draws from child j of the seed's generator (`Generator.spawn`), so the wiring
+depends only on the seed.
 """
 
 from __future__ import annotations
@@ -100,13 +106,26 @@ def _expected_loops(p: Statistics) -> float:
     return p.moment("dk") / mean_d if mean_d else 0.0
 
 
-# A rejected attempt of G groups draws about G / <loops> table rows, each
-# with a diagonal block of about m / G^2 stubs, so it costs least near
-# G = sqrt(m * stub cost / row cost).  Measured with numpy 2.4 on an x86-64
-# Xeon vCPU, one row's fixed Python cost (multivariate_hypergeometric, two
-# choice calls and a loop check, about 45 us) is that of drawing about 1,000
-# block stubs, or of shuffling about 2,500.
+# G is about sqrt(m / GROUP_COST).  A rejected attempt of G groups draws
+# about G / <loops> table rows, each one multivariate hypergeometric draw and
+# one loop-free probability, and no stub; the accepted one draws each
+# diagonal block about e^(<loops> / G) times.  Fewer groups make rejections
+# cheaper and the accepted draw dearer.  Measured with numpy 2.4 on an x86-64
+# Xeon vCPU at d = k = 4 and m = 4e5, draws interleaved: a rejected attempt
+# costs 78-116 us at 1024 (19 groups) and 45-64 us at 4096 (9 groups), the
+# accepted draw 1.5-2.3 ms more at 4096, and the expected time per network
+# is flat within 3% from 1024 to 4096 (likewise at m = 1.2e5).
 GROUP_COST = 1024
+
+# A loop-free probability q is summed until the terms left fall below
+# TRUNCATION * q, and it is trusted only while the round-off of its
+# alternating sum, EPS_SUM * (sum of the terms' magnitudes), stays below
+# TRUST * q.  An accepted q is therefore at least EPS_SUM / TRUST = 1e-6, so
+# a table whose dropped terms add up to less than TRUNCATION * 1e-6 is long
+# enough for every probability that can be accepted.
+TRUNCATION = 1e-17
+EPS_SUM = 1e-15
+TRUST = 1e-9
 
 
 def _shuffle_runs(rng, a, sizes):
@@ -114,6 +133,104 @@ def _shuffle_runs(rng, a, sizes):
     ends = np.cumsum(sizes).tolist()
     for start, end in zip([0] + ends, ends):
         rng.shuffle(a[start:end])
+
+
+def _deal_by_rows(stubs, table):
+    """Reorder stubs laid out block by block in column-major order of table
+    (block (i, j) holds table[i, j] of them) into row-major order, keeping
+    the order inside each block: each block moves from its column-major
+    offset to its row-major offset."""
+    counts = table.ravel()
+    by_col = table.T.ravel()
+    col_at = (np.cumsum(by_col) - by_col).reshape(table.shape).T.ravel()
+    row_at = np.cumsum(counts) - counts
+    return stubs[np.arange(stubs.size) + np.repeat(col_at - row_at, counts)]
+
+
+def _power(poly, c, size):
+    """The polynomial poly to the power c, truncated to `size` coefficients."""
+    out = np.ones(1)
+    while True:
+        if c & 1:
+            out = np.convolve(out, poly)[:size]
+        c >>= 1
+        if not c:
+            return out
+        poly = np.convolve(poly, poly)[:size]
+
+
+class _LoopFree:
+    """Loop-free probabilities of one node group's diagonal block.
+
+    The group's loop board holds the cells (out-stub, in-stub) of the same
+    node.  Its rook numbers r_j, the ways to place j non-attacking rooks on
+    it, are [x^j] prod_u sum_l C(k_u, l) C(d_u, l) l! x^l over the group's
+    nodes u.  By inclusion-exclusion over the loops a matching holds, a
+    uniform matching of N of the group's a out-stubs with N of its b
+    in-stubs is loop-free with probability
+
+        q(N) = sum_j (-1)^j r_j N^(j) / (a^(j) b^(j))
+
+    (x^(j) the falling factorial; Riordan, An Introduction to Combinatorial
+    Analysis, 1958, ch. 7-8).  The terms decay like lam^j / j!, lam = r_1 N
+    / (a b) the expected number of loops, so only the first few are kept.
+    """
+
+    def __init__(self, runs, a, b, group):
+        # runs: (k, d, node count) of the group; no matching of more than
+        # `most` stubs is loop-free (Hall's condition on the node with the
+        # most stubs)
+        self.group = group
+        self.most = min(a, b, a + b - max((k + d for k, d, _ in runs), default=0))
+        r1 = sum(k * d * c for k, d, c in runs)
+        self.rook, self.fall = [1.0], []
+        if not r1 or not self.most:
+            return
+        # x is scaled by s = most / (a b), so the stored r_j s^j stay near
+        # lam_max^j / j! with lam_max = r_1 s, the most loops expected
+        scale = self.most / (a * b)
+        lam, wide = r1 * scale, max(a, b)
+        # keep terms 0, ..., size - 1, where `bound` bounds |term size| at
+        # every N: r_j <= r_1^j / j! and N^(j) / (a^(j) b^(j)) <= s^j
+        # wide^j / wide^(j) for N <= most
+        size, bound = 1, 1.0
+        while size <= self.most:
+            step = lam * wide / (size * (wide - size + 1))
+            bound *= step
+            if step <= 0.5 and 2 * bound < TRUNCATION * EPS_SUM / TRUST:
+                break
+            size += 1
+        rook = np.ones(1)
+        for k, d, c in runs:
+            if k and d:
+                # C(k, l) C(d, l) l! s^l for l = 0, 1, ...
+                top = np.arange(min(k, d, size - 1))
+                poly = np.cumprod(np.concatenate(
+                    ([1.0], (k - top) * (d - top) * scale / (top + 1))))
+                rook = np.convolve(rook, _power(poly, c, size))[:size]
+        self.rook = rook.tolist()
+        top = np.arange(len(self.rook) - 1)
+        self.fall = (1.0 / ((a - top) * (b - top) * scale)).tolist()
+
+    def __call__(self, n: int) -> float:
+        """q(n), 0 when no matching of n stubs is loop-free."""
+        if n > self.most:
+            return 0.0
+        rook, fall = self.rook, self.fall
+        q = total = term = run = 1.0
+        for j in range(1, min(n, len(fall)) + 1):
+            run *= (j - 1 - n) * fall[j - 1]
+            last, term = term, rook[j] * run
+            if 2 * abs(term) <= TRUNCATION * q and 2 * abs(term) <= abs(last):
+                break
+            q += term
+            total += abs(term)
+        if EPS_SUM * total > TRUST * q:
+            raise SamplerError(
+                "group %d: the loop-free probability of its %d diagonal stub "
+                "pairs is lost to round-off, %.3g loops expected"
+                % (self.group, n, rook[1] * n * fall[0]))
+        return q
 
 
 class _Pairing:
@@ -124,8 +241,11 @@ class _Pairing:
     plus a uniform matching inside each block.  Row i of N is multivariate
     hypergeometric over the in-stubs that rows < i left, and since groups
     are node ranges only a diagonal block can hold a self-loop.  An attempt
-    therefore draws row i and then diagonal block i, i = 0, 1, ..., and stops
-    at the first loop; only an accepted attempt fills the off-diagonal blocks.
+    therefore draws row i and keeps it with the probability `_LoopFree` gives
+    that block N_ii of no loop, i = 0, 1, ..., and stops at the first
+    rejection, drawing no stub.  Only an accepted table draws its blocks:
+    each diagonal block by rejection among its own matchings, which makes it
+    uniform over the loop-free ones, then the off-diagonal blocks.
     """
 
     def __init__(self, kappa, delta):
@@ -140,26 +260,49 @@ class _Pairing:
         # group i owns tails[out_at[i]:out_at[i + 1]], likewise heads_base
         self.out_at = np.concatenate(([0], np.searchsorted(self.tails, cut), [m]))
         self.in_at = np.concatenate(([0], np.searchsorted(self.heads_base, cut), [m]))
-        self.label = np.min_scalar_type(groups)
+        self.out_count, self.in_count = np.diff(self.out_at), np.diff(self.in_at)
+        # each group's runs of nodes with equal (k, d), as (k, d, nodes)
+        first = np.minimum(np.concatenate(([0], cut)), kappa.size)
+        change = 1 + np.flatnonzero((np.diff(kappa) != 0) | (np.diff(delta) != 0))
+        starts = np.union1d(first, change)
+        starts = starts[starts < kappa.size]
+        runs = [[] for _ in range(groups)]
+        for group, k, d, size in zip(
+                (np.searchsorted(first, starts, "right") - 1).tolist(),
+                kappa[starts].tolist(), delta[starts].tolist(),
+                np.diff(starts, append=kappa.size).tolist()):
+            runs[group].append((k, d, size))
+        self.loop_free = [_LoopFree(*group) for group in zip(
+            runs, self.out_count.tolist(), self.in_count.tolist(), range(groups))]
 
-    def draw(self, rng):
+    def draw(self, rng, max_retries: int = 1000):
         """Heads aligned with tails for a loop-free pairing, or None when the
-        attempt met a self-loop."""
-        out_count, in_count = np.diff(self.out_at), np.diff(self.in_at)
+        table was rejected.  Each diagonal block of an accepted table is
+        drawn at most max_retries times."""
+        out_count, in_count = self.out_count, self.in_count
         in_left = in_count.copy()
         table = np.empty((out_count.size, out_count.size), dtype=np.int64)
-        outs, ins = [], []
-        for i in range(out_count.size):
+        for i, loop_free in enumerate(self.loop_free):
             table[i] = rng.multivariate_hypergeometric(in_left, out_count[i])
             in_left -= table[i]
-            # block i: a uniform set of N_ii out-stubs of group i, paired with
-            # a uniform sequence of N_ii of its in-stubs
-            out = self.out_at[i] + rng.choice(out_count[i], table[i, i],
-                                              replace=False, shuffle=False)
-            inn = self.in_at[i] + rng.choice(in_count[i], table[i, i],
-                                             replace=False)
-            if np.any(self.tails[out] == self.heads_base[inn]):
+            q = loop_free(int(table[i, i]))
+            if q < 1.0 and rng.random() >= q:
                 return None
+        outs, ins = [], []
+        for i in range(out_count.size):
+            # block i: a uniform set of N_ii out-stubs of group i, paired with
+            # a uniform sequence of N_ii of its in-stubs, until loop-free
+            for _ in range(max_retries):
+                out = self.out_at[i] + rng.choice(out_count[i], table[i, i],
+                                                  replace=False, shuffle=False)
+                inn = self.in_at[i] + rng.choice(in_count[i], table[i, i],
+                                                 replace=False)
+                if not np.any(self.tails[out] == self.heads_base[inn]):
+                    break
+            else:
+                raise SamplerError("no loop-free matching of %d stub pairs in "
+                                   "diagonal block %d in %d draws"
+                                   % (table[i, i], i, max_retries))
             outs.append(out)
             ins.append(inn)
         outs, ins = np.concatenate(outs), np.concatenate(ins)
@@ -175,9 +318,7 @@ class _Pairing:
         np.fill_diagonal(table, 0)
         stubs = np.flatnonzero(free_in)
         _shuffle_runs(rng, stubs, table.sum(axis=0))
-        row = np.repeat(np.tile(np.arange(table.shape[0], dtype=self.label),
-                                table.shape[0]), table.T.ravel())
-        stubs = stubs[np.argsort(row, kind="stable")]
+        stubs = _deal_by_rows(stubs, table)
         _shuffle_runs(rng, stubs, table.sum(axis=1))
         heads[free_out] = self.heads_base[stubs]
         return heads
@@ -192,6 +333,8 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     pairing joins a node to itself.  Attempt j (1-based, at most
     max_retries) draws from child j of `Generator.spawn`; the first
     loop-free attempt is accepted and `SampleInfo.attempts` is its index.
+    The accepted attempt draws each of its diagonal blocks at most
+    max_retries times.
     Returns (graph, thresholds, per-node type codes into p.types(),
     SampleInfo).
     """
@@ -214,7 +357,7 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     loops = _expected_loops(p)
     acceptance = math.exp(-loops)
     for attempt in range(1, max_retries + 1):
-        heads = pairing.draw(rng.spawn(1)[0])
+        heads = pairing.draw(rng.spawn(1)[0], max_retries)
         if heads is not None:
             log.debug("accepted attempt %d, predicted acceptance "
                       "exp(-<dk>/<d>) = %.4g", attempt, acceptance)

@@ -18,6 +18,30 @@ def test_degrees_and_no_self_loops(path3):
         MultiGraph(2, np.array([0, 1]), np.array([1, 1]))
 
 
+@pytest.mark.parametrize("order", ["unsorted", "sorted"])
+def test_neighbor_activity_counts_parallel_edges(order):
+    # random multigraphs with many parallel edges: the product with the
+    # adjacency counts each repeated head once per edge, in either edge order
+    rng = np.random.default_rng(31)
+    for n in (2, 5, 40):
+        tails = rng.integers(0, n, 6 * n)
+        heads = (tails + rng.integers(1, n, tails.size)) % n
+        if order == "sorted":
+            keep = np.argsort(tails, kind="stable")
+            tails, heads = tails[keep], heads[keep]
+        g = MultiGraph(n, tails, heads)
+        dense = np.zeros((n, n), dtype=np.int64)
+        np.add.at(dense, (tails, heads), 1)
+        for _ in range(3):
+            x = rng.integers(0, 2, n)
+            assert np.array_equal(g.neighbor_activity(x), dense @ x)
+        assert np.array_equal(g.out_degrees, np.bincount(tails, minlength=n))
+        assert np.array_equal(g.in_degrees, np.bincount(heads, minlength=n))
+        for degrees in (g.out_degrees, g.in_degrees):
+            with pytest.raises(ValueError, match="read-only"):
+                degrees[0] = 7
+
+
 def test_graph_equality_is_identity(path3):
     g = MultiGraph(3, [0, 1], [1, 2])
     assert g == g and g != MultiGraph(3, [0, 1], [1, 2])

@@ -101,6 +101,33 @@ def test_scipy_optimize_stays_behind_lp():
             assert "linprog" not in fh.read(), path
 
 
+def imported_names(source: str):
+    """Every module an import statement of `source` names, and every name
+    a from-import takes out of one, dotted onto its module."""
+    names = imported_modules(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module + "." + a.name for a in node.names)
+    return names
+
+
+def test_scipy_sparse_stays_behind_graph():
+    """Only `graph` imports from scipy.sparse: the adjacency layout that the
+    cascade multiplies with is its own, built from the tail/head arrays
+    every other module passes."""
+    def sparse(source):
+        return any(name.split(".")[:2] == ["scipy", "sparse"]
+                   for name in imported_names(source))
+    for text in ("import scipy.sparse as sp", "from scipy import sparse",
+                 "from scipy.sparse import csr_matrix"):
+        assert sparse(text), text
+    assert not sparse("from scipy import special\nimport scipy")
+    for path in PACKAGE:
+        with open(path) as fh:
+            found = sparse(fh.read())
+        assert found == (os.path.basename(path) == "graph.py"), path
+
+
 def imports_scipy_special(source: str) -> bool:
     """Whether an import statement of `source` names scipy.special or
     something inside it."""
