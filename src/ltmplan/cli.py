@@ -187,8 +187,7 @@ def cmd_validate(args):
     if args.edges:
         # realize mode: apply the plan to a concrete network
         g = _network(args)
-        threshold_seed = args.seed if args.threshold_seed is None else args.threshold_seed
-        rho, p_net, type_of = _statistics(g, args, threshold_seed)
+        rho, p_net, type_of = _statistics(g, args, args.seed)
         if p_net.types() != p0.types() or np.any(np.abs(p_net.m - p0.m) > 1e-9):
             raise StatsError("network %s does not have the type statistics of %s"
                              % (args.edges, args.statistics))
@@ -201,8 +200,7 @@ def cmd_validate(args):
         report = {"mode": "realize", "n": g.n, "final_fraction": float(ys[-1]),
                   "target": 1.0 - args.eps,
                   "ok": bool(ys[-1] >= 1.0 - args.eps),
-                  "realized_cost": float(cost), "seed": args.seed,
-                  "threshold_seed": threshold_seed}
+                  "realized_cost": float(cost), "seed": args.seed}
         _write_json(os.path.join(args.out, "validate.json"), report)
         print("realized run: final fraction %.4f (target %.4f)"
               % (ys[-1], 1.0 - args.eps))
@@ -341,9 +339,6 @@ def build_parser(preset=None):
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--mc-n", type=positive_int, default=10000)
     p.add_argument("--replicates", type=positive_int, default=1)
-    p.add_argument("--threshold-seed", type=int, default=None,
-                   help="seed that redraws random thresholds when realizing "
-                        "(default: --seed, which picks the realized nodes)")
     _add_network_args(p)
     p.set_defaults(func=cmd_validate, stage=EXIT_VALIDATE)
 

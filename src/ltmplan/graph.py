@@ -58,12 +58,12 @@ class MultiGraph:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         # row i of the adjacency lists the heads of node i's edges, repeated
-        # heads included: a product with it counts them with multiplicity.
-        # The stable sort is linear on tails that are already sorted
+        # heads included, in any order: a product with it counts them with
+        # multiplicity
         indptr = np.concatenate(([0], np.cumsum(out_degrees)))
         adj = sp.csr_matrix(
             (np.ones(tails.size, dtype=np.int64),
-             heads[np.argsort(tails, kind="stable")], indptr),
+             heads[np.argsort(tails)], indptr),
             shape=(self.n, self.n),
         )
         object.__setattr__(self, "_adj", adj)

@@ -127,6 +127,14 @@ TRUNCATION = 1e-17
 EPS_SUM = 1e-15
 TRUST = 1e-9
 
+# q of a block that expects lam loops is about e^-lam against terms of about
+# e^lam in all, so it is trusted up to lam of about 6.9.  A group of nodes u
+# with a_i out-stubs and b_i in-stubs holds about a_i b_i / m stub pairs in
+# its diagonal block, which then expects sum_u k_u d_u / m loops; groups are
+# added until no block expects more than LOOPS_PER_BLOCK, so a block must
+# draw more than twice its typical size to leave the trusted range.
+LOOPS_PER_BLOCK = 3.0
+
 
 def _shuffle_runs(rng, a, sizes):
     """Shuffle the array a in place within consecutive runs of these sizes."""
@@ -236,7 +244,9 @@ class _LoopFree:
 class _Pairing:
     """Uniform pairings of out-stubs with in-stubs, each list sorted by node.
 
-    The nodes are split into G contiguous ranges with about equal stub counts.
+    The nodes are split into G contiguous ranges with about equal stub counts,
+    enough of them that no diagonal block expects more than LOOPS_PER_BLOCK
+    loops.
     A uniform pairing is a G x G table N of stub counts between the groups
     plus a uniform matching inside each block.  Row i of N is multivariate
     hypergeometric over the in-stubs that rows < i left, and since groups
@@ -255,8 +265,18 @@ class _Pairing:
         m = self.tails.size
         groups = max(1, math.isqrt(m // GROUP_COST))
         stubs = np.cumsum(kappa + delta)
-        # first node of groups 1, ..., G - 1
-        cut = 1 + np.searchsorted(stubs, np.arange(1, groups) * (2 * m / groups))
+        loops = kappa * delta
+        while True:
+            # first node of groups 1, ..., G - 1
+            cut = 1 + np.searchsorted(stubs, np.arange(1, groups) * (2 * m / groups))
+            # a group's block expects the sum of its nodes' k_u d_u over m
+            # loops; starts of empty groups repeat and are dropped
+            starts = np.unique(np.concatenate(([0], cut)))
+            worst = np.add.reduceat(loops, starts[starts < kappa.size]).max() if m else 0
+            if worst <= LOOPS_PER_BLOCK * m or groups >= kappa.size:
+                break
+            groups = min(kappa.size, max(groups + 1, math.ceil(
+                groups * worst / (LOOPS_PER_BLOCK * m))))
         # group i owns tails[out_at[i]:out_at[i + 1]], likewise heads_base
         self.out_at = np.concatenate(([0], np.searchsorted(self.tails, cut), [m]))
         self.in_at = np.concatenate(([0], np.searchsorted(self.heads_base, cut), [m]))
@@ -275,10 +295,9 @@ class _Pairing:
         self.loop_free = [_LoopFree(*group) for group in zip(
             runs, self.out_count.tolist(), self.in_count.tolist(), range(groups))]
 
-    def draw(self, rng, max_retries: int = 1000):
+    def draw(self, rng):
         """Heads aligned with tails for a loop-free pairing, or None when the
-        table was rejected.  Each diagonal block of an accepted table is
-        drawn at most max_retries times."""
+        table was rejected."""
         out_count, in_count = self.out_count, self.in_count
         in_left = in_count.copy()
         table = np.empty((out_count.size, out_count.size), dtype=np.int64)
@@ -291,18 +310,16 @@ class _Pairing:
         outs, ins = [], []
         for i in range(out_count.size):
             # block i: a uniform set of N_ii out-stubs of group i, paired with
-            # a uniform sequence of N_ii of its in-stubs, until loop-free
-            for _ in range(max_retries):
+            # a uniform sequence of N_ii of its in-stubs, until loop-free; an
+            # accepted q is at least EPS_SUM / TRUST, so this ends, after
+            # 1 / q draws on average
+            while True:
                 out = self.out_at[i] + rng.choice(out_count[i], table[i, i],
                                                   replace=False, shuffle=False)
                 inn = self.in_at[i] + rng.choice(in_count[i], table[i, i],
                                                  replace=False)
                 if not np.any(self.tails[out] == self.heads_base[inn]):
                     break
-            else:
-                raise SamplerError("no loop-free matching of %d stub pairs in "
-                                   "diagonal block %d in %d draws"
-                                   % (table[i, i], i, max_retries))
             outs.append(out)
             ins.append(inn)
         outs, ins = np.concatenate(outs), np.concatenate(ins)
@@ -333,8 +350,6 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     pairing joins a node to itself.  Attempt j (1-based, at most
     max_retries) draws from child j of `Generator.spawn`; the first
     loop-free attempt is accepted and `SampleInfo.attempts` is its index.
-    The accepted attempt draws each of its diagonal blocks at most
-    max_retries times.
     Returns (graph, thresholds, per-node type codes into p.types(),
     SampleInfo).
     """
@@ -357,7 +372,7 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     loops = _expected_loops(p)
     acceptance = math.exp(-loops)
     for attempt in range(1, max_retries + 1):
-        heads = pairing.draw(rng.spawn(1)[0], max_retries)
+        heads = pairing.draw(rng.spawn(1)[0])
         if heads is not None:
             log.debug("accepted attempt %d, predicted acceptance "
                       "exp(-<dk>/<d>) = %.4g", attempt, acceptance)

@@ -143,29 +143,6 @@ def test_validate_realize_checks_network_statistics(tmp_path, capsys):
     assert main(common + ["--seed", "1"]) == EXIT_OK
 
 
-def test_validate_realize_picks_on_fixed_thresholds(tmp_path):
-    # --threshold-seed redraws the thresholds the statistics were drawn
-    # with, so --seed is free to pick other nodes on the same network;
-    # without it the thresholds are redrawn with --seed
-    rule = ["--threshold-rule", "uniform-random"]
-    stats = run_stats(tmp_path, rule + ["--seed", "1"])
-    plan_path = run_plan(tmp_path, stats)
-    runs = {}
-    for name, seeds in (("default", ["--seed", "1"]),
-                        ("pick1", ["--threshold-seed", "1", "--seed", "1"]),
-                        ("pick2", ["--threshold-seed", "1", "--seed", "2"])):
-        out = tmp_path / name
-        assert main(["validate", "--statistics", stats, "--plan", plan_path,
-                     "--eps", "0.1", "--edges", DATA, "--undirected", *rule,
-                     *seeds, "--out", str(out)]) == EXIT_OK
-        with open(out / "validate.json") as doc, open(out / "trajectory_realized.csv") as csv:
-            runs[name] = json.load(doc), csv.read()
-    assert runs["default"] == runs["pick1"]
-    assert [runs[k][0]["seed"] for k in ("pick1", "pick2")] == [1, 2]
-    assert [runs[k][0]["threshold_seed"] for k in ("pick1", "pick2")] == [1, 1]
-    assert runs["pick1"][1] != runs["pick2"][1]
-
-
 def test_experiment(tmp_path):
     out = str(tmp_path / "exp")
     rc = main(["experiment", "--edges", DATA, "--undirected",

@@ -239,9 +239,40 @@ def test_loop_free_probability_refuses_round_off():
     assert loop_free(600) == pytest.approx(math.exp(-3.0), rel=0.05)
     with pytest.raises(SamplerError, match="group 3: .* 10 loops expected"):
         loop_free(2000)
-    degrees = np.full(200, 20)
-    with pytest.raises(SamplerError, match="group 0: .* 20 loops expected"):
-        sampler._Pairing(degrees, degrees).draw(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("out_deg, in_deg, groups", [
+    # d = k = 7 at n = 300 expects 7 loops in all and d = k = 20 at
+    # n = 200 expects 20, both in one group by stub count alone
+    (np.full(300, 7), np.full(300, 7), 3),
+    (np.full(200, 20), np.full(200, 20), 7),
+    # 20 hubs of d = k = 30 before 980 nodes of d = k = 2: the group that
+    # holds the hubs expects most of the 8.6 loops
+    (np.repeat([30, 2], [20, 980]), np.repeat([30, 2], [20, 980]), 11),
+])
+def test_pairing_bounds_loops_per_block(out_deg, in_deg, groups):
+    # groups are added until no diagonal block expects more than
+    # LOOPS_PER_BLOCK loops at its typical size, sum_u k_u d_u / m, which
+    # keeps every q a draw meets in its trusted range: no draw raises
+    pairing = sampler._Pairing(out_deg, in_deg)
+    m = pairing.tails.size
+    assert pairing.out_at.size - 1 == groups
+    for start, end in zip(pairing.out_at[:-1], pairing.out_at[1:]):
+        assert in_deg[pairing.tails[start:end]].sum() <= sampler.LOOPS_PER_BLOCK * m
+    rng = np.random.default_rng(22)
+    for _ in range(1000):
+        pairing.draw(rng)
+
+
+def test_sample_with_many_loops_per_network():
+    # d = k = 7 at n = 300 accepts about one pairing in e^7 = 1,097
+    p = Statistics({AgentType(7, 7, 1, lin(1)): 1.0})
+    for seed in range(4):
+        g, _, _, info = sample_configuration_model(p, 300, seed=seed,
+                                                   max_retries=10_000)
+        assert not np.any(g.tails == g.heads)
+        assert np.all(g.out_degrees == 7) and np.all(g.in_degrees == 7)
+        assert 1 < info.attempts < 10_000
 
 
 class CountingGenerator:
@@ -272,18 +303,6 @@ def test_rejected_draw_samples_no_stubs(monkeypatch):
         assert rng.calls["choice"] == 0 and rng.calls["multivariate_hypergeometric"] >= 1
     assert rejected > 0
     assert rng.calls["choice"] >= 2 * (pairing.out_at.size - 1)
-
-
-def test_accepted_table_bounds_block_redraws():
-    # one group of d = k = 3 holds one diagonal block, loop-free with
-    # probability about e^-3: an accepted table that may draw that block
-    # only once fails on most tables
-    degrees = np.full(200, 3)
-    pairing = sampler._Pairing(degrees, degrees)
-    rng = np.random.default_rng(21)
-    with pytest.raises(SamplerError, match="diagonal block 0 in 1 draws"):
-        for _ in range(10_000):
-            pairing.draw(rng, max_retries=1)
 
 
 def test_deal_by_rows_matches_stable_sort():
