@@ -86,15 +86,43 @@ def _read_json(path, *keys):
 
 def _load_stats_doc(path):
     doc = _read_json(path, "types")
-    return statistics_from_records(doc["types"], n=doc.get("n"))
+    return statistics_from_records(doc["types"], n=doc.get("n")), doc
 
 
-def _write_statistics(path, g, p0, args, seed, **extra):
+# The settings that, with its edge list, rebuild a network and its thresholds,
+# as statistics.json's config records them and `validate --edges` reads them
+# back: each key with the JSON types its value may take.
+RECIPE = {"undirected": bool, "drop_self_loops": bool, "threshold_rule": str,
+          "cost_rule": str, "seed": (int, type(None)), "clamped": bool}
+
+
+def _recipe(args, seed):
+    """The recipe of the network `stats` and `experiment` build from args,
+    its thresholds drawn with `seed`."""
+    return dict(zip(RECIPE, (args.undirected, args.drop_self_loops,
+                             args.threshold_rule, args.cost_rule, seed,
+                             args.clamp_thresholds)))
+
+
+def _read_recipe(path, doc):
+    """The recipe recorded in the statistics document doc, read from path."""
+    config = doc.get("config")
+    if not isinstance(config, dict):
+        raise ValueError("%s: missing key 'config'" % path)
+    for key, kind in RECIPE.items():
+        if key not in config:
+            raise ValueError("%s: missing key 'config.%s'" % (path, key))
+        if not isinstance(config[key], kind):
+            raise ValueError("%s: config.%s is %r" % (path, key, config[key]))
+    return {key: config[key] for key in RECIPE}
+
+
+def _write_statistics(path, g, p0, edges, recipe, **extra):
     """Write statistics.json; returns its config block."""
-    config = {"edges": args.edges, "undirected": args.undirected,
-              "threshold_rule": args.threshold_rule,
-              "cost_rule": args.cost_rule, "seed": seed, **extra,
-              "clamped": args.clamp_thresholds}
+    config = {"edges": edges, **recipe, **extra}
+    # clamped stays the last key, after experiment's instance, so the
+    # documents keep their layout
+    config["clamped"] = config.pop("clamped")
     _write_json(path, {
         "n": g.n,
         "edges": g.edge_count,
@@ -110,29 +138,30 @@ def _write_statistics(path, g, p0, args, seed, **extra):
     return config
 
 
-def _network(args):
-    if not args.edges:
+def _network(edges, recipe):
+    if not edges:
         raise UsageError("no edge list given (--edges or LTMPLAN_EDGES)")
-    return parse_edge_list(args.edges, undirected=args.undirected,
-                           drop_self_loops=args.drop_self_loops)[0]
+    return parse_edge_list(edges, undirected=recipe["undirected"],
+                           drop_self_loops=recipe["drop_self_loops"])[0]
 
 
-def _statistics(g, args, seed):
-    """Thresholds drawn with `seed`, then the type statistics of g and each
+def _statistics(g, recipe):
+    """Thresholds drawn by the recipe, then the type statistics of g and each
     node's type code into them."""
-    rho = threshold_rule(args.threshold_rule, seed=seed)(g)
-    if args.clamp_thresholds:
+    rho = threshold_rule(recipe["threshold_rule"], seed=recipe["seed"])(g)
+    if recipe["clamped"]:
         rho = check_thresholds(g, rho, clamp=True)
-    p0, type_of = extract_statistics(g, rho, cost_rule(args.cost_rule))
+    p0, type_of = extract_statistics(g, rho, cost_rule(recipe["cost_rule"]))
     return rho, p0, type_of
 
 
 def cmd_stats(args):
-    g = _network(args)
-    _, p0, _ = _statistics(g, args, args.seed)
+    recipe = _recipe(args, args.seed)
+    g = _network(args.edges, recipe)
+    _, p0, _ = _statistics(g, recipe)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "statistics.json")
-    _write_statistics(path, g, p0, args, args.seed)
+    _write_statistics(path, g, p0, args.edges, recipe)
     print("wrote %s (n=%d, %d types)" % (path, g.n, len(p0.support())))
     return EXIT_OK
 
@@ -144,7 +173,7 @@ def _run_plan(p0, args):
 
 
 def cmd_plan(args):
-    p0 = _load_stats_doc(args.statistics)
+    p0, _ = _load_stats_doc(args.statistics)
     result = _run_plan(p0, args)
     os.makedirs(args.out, exist_ok=True)
     doc = result.to_dict()
@@ -180,17 +209,20 @@ def _realize_and_compare(g, type_of, rho, xi, seed, csv_path):
 def cmd_validate(args):
     if not 0.0 < args.eps <= 1.0:
         raise ValueError("eps must lie in (0, 1], got %r" % args.eps)
-    p0 = _load_stats_doc(args.statistics)
+    # every input is read and checked before --out is made
+    p0, stats_doc = _load_stats_doc(args.statistics)
     plan_doc = _read_json(args.plan, "xi")
     xi = intervention_from_records(plan_doc["xi"], p0)
-    os.makedirs(args.out, exist_ok=True)
     if args.edges:
-        # realize mode: apply the plan to a concrete network
-        g = _network(args)
-        rho, p_net, type_of = _statistics(g, args, args.seed)
+        # realize mode: rebuild the network by the recipe --statistics
+        # recorded and apply the plan to it; --seed only picks the nodes
+        recipe = _read_recipe(args.statistics, stats_doc)
+        g = _network(args.edges, recipe)
+        rho, p_net, type_of = _statistics(g, recipe)
         if p_net.types() != p0.types() or np.any(np.abs(p_net.m - p0.m) > 1e-9):
             raise StatsError("network %s does not have the type statistics of %s"
                              % (args.edges, args.statistics))
+        os.makedirs(args.out, exist_ok=True)
         # equal type tables: the network's codes index p0.types() as well
         h, ys = _realize_and_compare(
             g, type_of, rho, xi, args.seed,
@@ -205,6 +237,7 @@ def cmd_validate(args):
         print("realized run: final fraction %.4f (target %.4f)"
               % (ys[-1], 1.0 - args.eps))
         return EXIT_OK
+    os.makedirs(args.out, exist_ok=True)
     report = monte_carlo_validate(xi, n=args.mc_n,
                                   replicates=args.replicates,
                                   eps=args.eps, seed=args.seed)
@@ -219,7 +252,7 @@ def cmd_validate(args):
 
 def cmd_experiment(args):
     # args.stage follows the running stage: a failure exits with its code
-    g = _network(args)
+    g = _network(args.edges, _recipe(args, args.seed))
     os.makedirs(args.out, exist_ok=True)
     costs, finals = [], []
     base_seed = args.seed if args.seed is not None else 0
@@ -229,9 +262,10 @@ def cmd_experiment(args):
         args.stage = EXIT_STATS
         # without --seed the thresholds are drawn unseeded: recorded as null
         seed = None if args.seed is None else args.seed + inst
-        rho, p0, type_of = _statistics(g, args, seed)
+        recipe = _recipe(args, seed)
+        rho, p0, type_of = _statistics(g, recipe)
         config = _write_statistics(os.path.join(inst_dir, "statistics.json"),
-                                   g, p0, args, seed, instance=inst)
+                                   g, p0, args.edges, recipe, instance=inst)
         args.stage = EXIT_PLAN
         result = _run_plan(p0, args)
         doc = result.to_dict()
@@ -339,7 +373,8 @@ def build_parser(preset=None):
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--mc-n", type=positive_int, default=10000)
     p.add_argument("--replicates", type=positive_int, default=1)
-    _add_network_args(p)
+    p.add_argument("--edges", help="the edge list of --statistics, rebuilt by "
+                                   "the recipe its config records")
     p.set_defaults(func=cmd_validate, stage=EXIT_VALIDATE)
 
     p = sub.add_parser("experiment", help="full stats -> plan -> realize pipeline")

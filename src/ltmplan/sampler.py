@@ -292,8 +292,15 @@ class _Pairing:
                 kappa[starts].tolist(), delta[starts].tolist(),
                 np.diff(starts, append=kappa.size).tolist()):
             runs[group].append((k, d, size))
-        self.loop_free = [_LoopFree(*group) for group in zip(
-            runs, self.out_count.tolist(), self.in_count.tolist(), range(groups))]
+        # groups of one composition (runs, a, b) share one table, built for
+        # the first of them
+        tables = {}
+        self.loop_free = []
+        for group, key in enumerate(zip(map(tuple, runs), self.out_count.tolist(),
+                                        self.in_count.tolist())):
+            if key not in tables:
+                tables[key] = _LoopFree(*key, group)
+            self.loop_free.append(tables[key])
 
     def draw(self, rng):
         """Heads aligned with tails for a loop-free pairing, or None when the

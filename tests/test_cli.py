@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 
 import pytest
 
@@ -99,7 +101,7 @@ def test_post_statistics_built_once_per_stage(tmp_path, post_calls):
                 "--eps", "0.1", "--seed", "3", "--out", str(tmp_path / "v")]
     assert main(validate + ["--mc-n", "2000", "--replicates", "2"]) == EXIT_OK
     assert len(post_calls) == 2
-    assert main(validate + ["--edges", DATA, "--undirected"]) == EXIT_OK
+    assert main(validate + ["--edges", DATA]) == EXIT_OK
     assert len(post_calls) == 3
     assert main(["experiment", "--edges", DATA, "--undirected",
                  "--threshold-rule", "uniform-random", "--instances", "2",
@@ -113,8 +115,7 @@ def test_validate_realize(tmp_path):
     plan_path = run_plan(tmp_path, stats)
     out = str(tmp_path / "realized")
     rc = main(["validate", "--statistics", stats, "--plan", plan_path,
-               "--eps", "0.1", "--edges", DATA, "--undirected",
-               "--seed", "4", "--out", out])
+               "--eps", "0.1", "--edges", DATA, "--seed", "4", "--out", out])
     assert rc == EXIT_OK
     doc = json.load(open(os.path.join(out, "validate.json")))
     assert doc["mode"] == "realize" and doc["n"] == 20
@@ -129,18 +130,94 @@ def test_validate_realize(tmp_path):
 
 
 def test_validate_realize_checks_network_statistics(tmp_path, capsys):
-    # thresholds drawn with another seed give the network other type masses
-    rule = ["--threshold-rule", "uniform-random"]
-    stats = run_stats(tmp_path, rule + ["--seed", "1"])
+    # another edge list rebuilt by the same recipe has other type masses
+    stats = run_stats(tmp_path, ["--threshold-rule", "uniform-random", "--seed", "1"])
     plan_path = run_plan(tmp_path, stats)
-    common = ["validate", "--statistics", stats, "--plan", plan_path,
-              "--eps", "0.1", "--edges", DATA, "--undirected", *rule,
-              "--out", str(tmp_path / "x")]
+    other = tmp_path / "other.txt"
+    other.write_text("".join("%d %d\n" % (i, (i + 1) % 20) for i in range(20)))
+    out = tmp_path / "x"
     capsys.readouterr()
-    assert main(common + ["--seed", "2"]) == EXIT_VALIDATE
+    assert main(["validate", "--statistics", stats, "--plan", plan_path,
+                 "--edges", str(other), "--out", str(out)]) == EXIT_VALIDATE
     err = assert_one_line(capsys, "statistics error:")
-    assert DATA in err and stats in err
-    assert main(common + ["--seed", "1"]) == EXIT_OK
+    assert str(other) in err and stats in err
+    assert not out.exists()    # failed before any output
+
+
+def test_validate_realize_reads_recipe_from_statistics(tmp_path):
+    # thresholds drawn with seed 1 are redrawn from config.seed, so one plan
+    # is realized at any pick seed
+    stats = run_stats(tmp_path, ["--threshold-rule", "uniform-random", "--seed", "1"])
+    plan_path = run_plan(tmp_path, stats)
+    docs = []
+    for seed in ("1", "2"):
+        out = str(tmp_path / ("pick" + seed))
+        assert main(["validate", "--statistics", stats, "--plan", plan_path,
+                     "--edges", DATA, "--seed", seed, "--out", out]) == EXIT_OK
+        docs.append(json.load(open(os.path.join(out, "validate.json"))))
+    assert [doc["seed"] for doc in docs] == [1, 2]
+    assert all(doc["mode"] == "realize" and doc["n"] == 20 for doc in docs)
+
+
+RECIPE_KEYS = ("undirected", "drop_self_loops", "threshold_rule", "cost_rule",
+               "seed", "clamped")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("config", None, "missing key 'config'"),
+    *((key, None, "missing key 'config.%s'" % key) for key in RECIPE_KEYS),
+    ("seed", "1", "config.seed is '1'"),
+], ids=["no-config", *("no-" + key for key in RECIPE_KEYS), "seed-text"])
+def test_validate_realize_needs_recorded_recipe(tmp_path, capsys, key, value, message):
+    # None drops the key; any other value replaces it
+    stats = run_stats(tmp_path)
+    plan_path = run_plan(tmp_path, stats)
+    doc = json.load(open(stats))
+    record = doc if key == "config" else doc["config"]
+    if value is None:
+        del record[key]
+    else:
+        record[key] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(["validate", "--statistics", str(edited), "--plan", plan_path,
+                 "--edges", DATA, "--out", str(out)]) == EXIT_VALIDATE
+    err = assert_one_line(capsys, "input error:")
+    assert str(edited) in err and message in err
+    assert not out.exists()
+
+
+def test_validate_realize_missing_edges_makes_no_output(tmp_path, capsys):
+    stats = run_stats(tmp_path)
+    plan_path = run_plan(tmp_path, stats)
+    missing = str(tmp_path / "missing.txt")
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(["validate", "--statistics", stats, "--plan", plan_path,
+                 "--edges", missing, "--out", str(out)]) == EXIT_VALIDATE
+    assert missing in assert_one_line(capsys, "input error:")
+    assert not out.exists()
+
+
+def test_validate_takes_no_network_flags(tmp_path, capsys):
+    # the recipe is read from --statistics, never restated
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--statistics", "s.json", "--plan", "p.json",
+              "--mc-n", "200", "--threshold-rule", "half-out-degree",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_USAGE
+    assert "--threshold-rule" in assert_one_line(capsys, "usage error:")
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_validate_has_eight_options():
+    args = parse_args(["validate", "--statistics", "s.json", "--plan", "p.json"])
+    options = set(vars(args)) - {"command", "func", "stage"}
+    assert options == {"statistics", "plan", "eps", "mc_n", "replicates",
+                       "edges", "seed", "out"}
 
 
 def test_experiment(tmp_path):
@@ -289,7 +366,7 @@ def test_exit_code_validate_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("eps, network", [
-    ("2", ["--edges", DATA, "--undirected"]), ("nan", []), ("0", []),
+    ("2", ["--edges", DATA]), ("nan", []), ("0", []),
 ], ids=["realize-2", "monte-carlo-nan", "monte-carlo-0"])
 def test_validate_eps_out_of_range(tmp_path, capsys, eps, network):
     # eps 2 would set the target to -1 and call any run a success
@@ -411,3 +488,15 @@ def test_validate_rejects_duplicate_plan_record(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == EXIT_VALIDATE
     assert "duplicate" in assert_one_line(capsys, "statistics error:")
+
+
+def test_readme_cli_examples_parse():
+    # every `ltmplan ...` command of README.md's sh blocks, continuations
+    # joined, parses
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    blocks = re.findall(r"^```sh\n(.*?)^```", open(path).read(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("ltmplan ")]
+    assert {argv[0] for argv in commands} == {"stats", "plan", "validate", "experiment"}
+    for argv in commands:
+        parse_args(argv)

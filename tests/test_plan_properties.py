@@ -1,6 +1,7 @@
 """Property suite: `ltmplan plan` on extreme statistics documents either
 plans (exit 0) or fails in the plan stage with one stderr line (exit 4); it
-never raises."""
+never raises.  On small edge lists, every plan that `stats -> plan` makes is
+realized by `validate --edges` at any pick seed."""
 
 import contextlib
 import io
@@ -14,7 +15,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from ltmplan.cli import EXIT_OK, EXIT_PLAN, main  # noqa: E402
+from ltmplan.cli import (EXIT_OK, EXIT_PLAN, EXIT_STATS,  # noqa: E402
+                         EXIT_VALIDATE, main)
 from ltmplan.planner import alpha_eps  # noqa: E402
 from ltmplan.typestats import statistics_from_records  # noqa: E402
 
@@ -78,3 +80,55 @@ def test_plan_never_raises(doc, delta):
     if alpha is not None and float(delta) > alpha * (1.0 + 1e-12):
         assert rc == EXIT_PLAN and "infeasible" in err.getvalue(), err.getvalue()
         assert "LP solve failed" not in err.getvalue()
+
+
+@st.composite
+def edge_lists(draw):
+    """Lines of a small undirected edge list, and whether it has self-loop
+    lines (which `stats --drop-self-loops` drops)."""
+    n = draw(st.integers(5, 40))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=3 * n))
+    loops = draw(st.lists(node, max_size=3))
+    lines = ["%d %d" % e for e in pairs] + ["%d %d" % (u, u) for u in loops]
+    return draw(st.permutations(lines)), bool(loops)
+
+
+def _run(argv):
+    """main(argv) with its output captured; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(edges=edge_lists(),
+                  rule=st.sampled_from([[], ["--threshold-rule", "uniform-random",
+                                             "--seed", "3"]]),
+                  delta=st.sampled_from(["0.01", "0.05"]))
+def test_realize_any_plan(edges, rule, delta):
+    lines, loops = edges
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edges.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        stats, plan = (os.path.join(tmp, name) for name in ("statistics.json", "plan.json"))
+        stages = [
+            ["stats", "--edges", path, "--undirected", *rule,
+             *(["--drop-self-loops"] if loops else []), "--out", tmp],
+            ["plan", "--statistics", stats, "--eps", "0.3", "--grid-n", "10",
+             "--delta", delta, "--out", tmp],
+            *(["validate", "--statistics", stats, "--plan", plan, "--eps", "0.3",
+               "--edges", path, "--seed", seed, "--out", os.path.join(tmp, seed)]
+              for seed in ("1", "2")),
+        ]
+        for argv in stages:
+            rc, err = _run(argv)
+            assert rc in (EXIT_OK, EXIT_STATS, EXIT_PLAN, EXIT_VALIDATE), (argv, err)
+            assert err.count("\n") <= 1, err
+            # a network the plan was made for is one it can be realized on
+            assert rc == EXIT_OK or argv[0] != "validate", err
+            if rc != EXIT_OK:
+                break
