@@ -59,11 +59,11 @@ class MultiGraph:
             object.__setattr__(self, name, a)
         # row i of the adjacency lists the heads of node i's edges, repeated
         # heads included, in any order: a product with it counts them with
-        # multiplicity
+        # multiplicity.  Sampled networks come with their tails sorted.
+        by_tail = heads[np.argsort(tails)] if np.any(tails[1:] < tails[:-1]) else heads
         indptr = np.concatenate(([0], np.cumsum(out_degrees)))
         adj = sp.csr_matrix(
-            (np.ones(tails.size, dtype=np.int64),
-             heads[np.argsort(tails)], indptr),
+            (np.ones(tails.size, dtype=np.int64), by_tail, indptr),
             shape=(self.n, self.n),
         )
         object.__setattr__(self, "_adj", adj)

@@ -9,10 +9,10 @@ row-wise sparse arrays.  HiGHS's model status maps to an outcome through one
 three-entry table: Optimal, Infeasible and Unbounded are themselves, and
 every other status is an error, as is a model HiGHS rejects at load.  No
 other module touches that private API.  Every reported optimum is
-re-certified here: primal residuals are recomputed from scratch, the
-returned row duals must be dual feasible, and the dual bound they give must
-meet the primal objective.  A solve that cannot be certified is reported as
-a failure, never as a silent wrong answer.
+re-certified here: primal residuals are recomputed from scratch, and the
+returned row duals, clipped to y <= 0, must give a safe dual bound that
+meets the primal objective.  A solve that cannot be certified is reported
+as a failure, never as a silent wrong answer.
 
 HiGHS runs first unscaled and without presolve, which is faster on the
 planner's small dense LPs: presolve only removes their singleton budget
@@ -111,9 +111,12 @@ def check_solution(model: LpModel, x) -> tuple[float, float]:
 def solve(model: LpModel) -> LpSolution:
     """Solve the model and certify the answer.
 
-    status 'optimal' guarantees: max violation <= FEAS_TOL and a dual bound
-    from dual-feasible multipliers (to FEAS_TOL) within GAP_TOL relative of
-    the primal objective.
+    status 'optimal' guarantees: max violation <= FEAS_TOL and a safe dual
+    bound within GAP_TOL relative of the primal objective.  The bound takes
+    the row duals clipped to y <= 0; a negative reduced cost lowers it by
+    its column's upper bound from a row of non-negative coefficients, and
+    must lie within FEAS_TOL of 0 (relative to the cost) on a column no such
+    row bounds.
     """
     if model.num_vars == 0:
         # vacuous model: feasible iff every row already holds at x = ()
@@ -183,16 +186,27 @@ def _certify(model: LpModel, res: HighsResult) -> LpSolution:
     when its residuals, dual feasibility and dual bound check out here."""
     if res.outcome != "optimal":
         return LpSolution(res.outcome, None, None, None, None, res.nit, res.message)
-    x, y = res.x, res.row_dual
+    x, y = res.x, np.minimum(res.row_dual, 0.0)
     viol, obj = check_solution(model, x)
-    # y <= 0 and c - A'y >= 0 make b.y a lower bound on every feasible c.x
-    # (the x >= 0 bounds have rhs 0 and add nothing to it); reduced costs are
-    # checked relative to their cost
-    c = model.objective
-    dual_viol = max(float(np.max(y, initial=0.0)),
-                    float(np.max((y @ model.rows - c) / np.maximum(1.0, np.abs(c)),
-                                 initial=0.0)))
-    gap = abs(obj - float(y @ model.rhs)) / max(1.0, abs(obj))
+    # with y <= 0, c.x >= b.y + (c - A'y).x for every feasible x.  A column
+    # that a row of non-negative coefficients bounds, x_j <= u_j, costs the
+    # bound at most max(0, -rc_j) u_j (Neumaier & Shcherbina, Math. Program.
+    # 99:283, 2004), so round-off in the reduced cost of a basic column
+    # loosens the bound instead of failing it; every other column needs
+    # rc_j >= 0, checked relative to its cost
+    a, b, c = model.rows, model.rhs, model.objective
+    rc = c - y @ a
+    neg = np.flatnonzero(rc < 0.0)
+    bounding = np.flatnonzero(a.min(axis=1, initial=0.0) >= 0.0)
+    rows = a[np.ix_(bounding, neg)]
+    ratio = np.divide(b[bounding, None], rows, out=np.full(rows.shape, np.inf),
+                      where=rows > 0.0)
+    u = np.maximum(ratio.min(axis=0, initial=np.inf), 0.0)
+    free = np.isinf(u)
+    dual_viol = float(np.max(-rc[neg[free]] / np.maximum(1.0, np.abs(c[neg[free]])),
+                             initial=0.0))
+    bound = float(y @ b) + float(rc[neg[~free]] @ u[~free])
+    gap = abs(obj - bound) / max(1.0, abs(obj))
     if viol > FEAS_TOL or dual_viol > FEAS_TOL or gap > GAP_TOL:
         return LpSolution("error", x, obj, viol, gap, res.nit,
                           "certification failed: violation=%g dual violation=%g gap=%g"

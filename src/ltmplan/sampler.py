@@ -146,13 +146,16 @@ def _shuffle_runs(rng, a, sizes):
 def _deal_by_rows(stubs, table):
     """Reorder stubs laid out block by block in column-major order of table
     (block (i, j) holds table[i, j] of them) into row-major order, keeping
-    the order inside each block: each block moves from its column-major
+    the order inside each block: each block is copied from its column-major
     offset to its row-major offset."""
     counts = table.ravel()
     by_col = table.T.ravel()
     col_at = (np.cumsum(by_col) - by_col).reshape(table.shape).T.ravel()
     row_at = np.cumsum(counts) - counts
-    return stubs[np.arange(stubs.size) + np.repeat(col_at - row_at, counts)]
+    dealt = np.empty_like(stubs)
+    for size, row, col in zip(counts.tolist(), row_at.tolist(), col_at.tolist()):
+        dealt[row:row + size] = stubs[col:col + size]
+    return dealt
 
 
 def _power(poly, c, size):
@@ -188,7 +191,7 @@ class _LoopFree:
         # runs: (k, d, node count) of the group; no matching of more than
         # `most` stubs is loop-free (Hall's condition on the node with the
         # most stubs)
-        self.group = group
+        self.group, self.known = group, {}
         self.most = min(a, b, a + b - max((k + d for k, d, _ in runs), default=0))
         r1 = sum(k * d * c for k, d, c in runs)
         self.rook, self.fall = [1.0], []
@@ -222,6 +225,13 @@ class _LoopFree:
 
     def __call__(self, n: int) -> float:
         """q(n), 0 when no matching of n stubs is loop-free."""
+        q = self.known.get(n)
+        if q is None:
+            # a q lost to round-off raises on every call and is not kept
+            q = self.known[n] = self._sum(n)
+        return q
+
+    def _sum(self, n: int) -> float:
         if n > self.most:
             return 0.0
         rook, fall = self.rook, self.fall
@@ -314,7 +324,9 @@ class _Pairing:
             q = loop_free(int(table[i, i]))
             if q < 1.0 and rng.random() >= q:
                 return None
-        outs, ins = [], []
+        heads = np.empty_like(self.heads_base)
+        free_out = np.ones(heads.size, dtype=bool)
+        free_in = np.ones(heads.size, dtype=bool)
         for i in range(out_count.size):
             # block i: a uniform set of N_ii out-stubs of group i, paired with
             # a uniform sequence of N_ii of its in-stubs, until loop-free; an
@@ -325,31 +337,27 @@ class _Pairing:
                                                   replace=False, shuffle=False)
                 inn = self.in_at[i] + rng.choice(in_count[i], table[i, i],
                                                  replace=False)
-                if not np.any(self.tails[out] == self.heads_base[inn]):
+                ends = self.heads_base[inn]
+                if not np.any(self.tails[out] == ends):
                     break
-            outs.append(out)
-            ins.append(inn)
-        outs, ins = np.concatenate(outs), np.concatenate(ins)
-        heads = np.empty_like(self.heads_base)
-        heads[outs] = self.heads_base[ins]
-        free_out = np.ones(heads.size, dtype=bool)
-        free_out[outs] = False
-        free_in = np.ones(heads.size, dtype=bool)
-        free_in[ins] = False
-        # the off-diagonal blocks: shuffle the free in-stubs within their
-        # column group, deal them to the rows by the off-diagonal counts,
-        # then shuffle them within each row onto that row's free out-stubs
+            heads[out] = ends
+            free_out[out] = False
+            free_in[inn] = False
+        # the off-diagonal blocks: shuffle the free in-stubs' nodes within
+        # their column group, deal them to the rows by the off-diagonal
+        # counts, then shuffle them within each row onto that row's free
+        # out-stubs
         np.fill_diagonal(table, 0)
-        stubs = np.flatnonzero(free_in)
-        _shuffle_runs(rng, stubs, table.sum(axis=0))
-        stubs = _deal_by_rows(stubs, table)
-        _shuffle_runs(rng, stubs, table.sum(axis=1))
-        heads[free_out] = self.heads_base[stubs]
+        ends = self.heads_base[free_in]
+        _shuffle_runs(rng, ends, table.sum(axis=0))
+        ends = _deal_by_rows(ends, table)
+        _shuffle_runs(rng, ends, table.sum(axis=1))
+        heads[free_out] = ends
         return heads
 
 
 def sample_configuration_model(p: Statistics, n: int, seed=None,
-                               max_retries: int = 1000):
+                               max_retries: int = 1000, *, _pairings=None):
     """Draw a network with n nodes and type statistics p.
 
     Out-stubs (node repeated by out-degree) are matched to in-stubs (node
@@ -359,6 +367,10 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     loop-free attempt is accepted and `SampleInfo.attempts` is its index.
     Returns (graph, thresholds, per-node type codes into p.types(),
     SampleInfo).
+
+    `_pairings`, a dict one caller keeps across its calls on the same p and
+    n, shares one `_Pairing` among the calls that round to the same type
+    counts; the draws do not depend on it.
     """
     if isinstance(seed, np.random.SeedSequence):
         # spawning advances a SeedSequence; spawn from a copy so that the
@@ -375,7 +387,11 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
     if int(kappa.sum()) != int(delta.sum()):
         raise SamplerError("stub imbalance after rounding: %d out vs %d in"
                            % (int(kappa.sum()), int(delta.sum())))
-    pairing = _Pairing(kappa, delta)
+    pairings = {} if _pairings is None else _pairings
+    key = counts.tobytes()
+    if key not in pairings:
+        pairings[key] = _Pairing(kappa, delta)
+    pairing = pairings[key]
     loops = _expected_loops(p)
     acceptance = math.exp(-loops)
     for attempt in range(1, max_retries + 1):
@@ -469,15 +485,17 @@ def monte_carlo_validate(xi: StatIntervention, n: int, replicates: int,
     cascade from all-zeros, and compare against the mean-field recursion.
 
     Success per replicate means the final active fraction reaches 1 - eps.
-    Replicates use independent child seeds and merge deterministically.
+    Replicates use independent child seeds and merge deterministically; the
+    replicates that round to the same type counts share one `_Pairing`.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1, got %d" % replicates)
     post = xi.post
     rec, _ = recursion(post)
-    attempts, tables = [], []
+    attempts, tables, pairings = [], [], {}
     for rng_seed in np.random.SeedSequence(seed).spawn(replicates):
-        g, rho, _, info = sample_configuration_model(post, n, seed=rng_seed)
+        g, rho, _, info = sample_configuration_model(post, n, seed=rng_seed,
+                                                     _pairings=pairings)
         attempts.append(info.attempts)
         ys, zs, _ = cascade_fractions(g, rho)
         tables.append(trajectory_table(ys, zs, rec))

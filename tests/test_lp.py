@@ -11,7 +11,7 @@ from conftest import random_statistics
 from lp_oracle import random_model, vertex_enumerate
 from ltmplan import lp
 from ltmplan.lp import LpModel, check_solution, solve
-from ltmplan.planner import PlannerConfig, build_lp
+from ltmplan.planner import PlannerConfig, alpha_eps, build_lp
 from test_planner import powergrid_instance
 
 
@@ -224,6 +224,49 @@ def test_certify_rejects_infeasible_duals():
         assert y @ model.rhs == pytest.approx(1.0)
         sol = lp._certify(model, lp.HighsResult("optimal", "", x, y, 1))
         assert sol.status == "error" and "dual violation" in sol.message
+
+
+def test_certify_bounds_round_off_on_bounded_columns():
+    """A reduced cost a little below 0 costs the dual bound its column's
+    upper bound times that shortfall when a row of non-negative
+    coefficients bounds the column, and fails the certificate otherwise."""
+    x = np.array([0.6, 0.4])
+    # y misses the optimal duals (-1, 0) by 2e-9: both reduced costs are
+    # -2e-9, beyond FEAS_TOL
+    y = np.array([-1.0 - 2e-9, 0.0, 0.0])
+    # + x0 + x1 <= 2 bounds both columns: b.y less 2e-9 * (0.6 + 2) is
+    # within GAP_TOL of the optimum 1
+    model = LpModel(np.array([1.0, 1.0]),
+                    np.array([[-1.0, -1.0], [1.0, 0.0], [1.0, 1.0]]),
+                    np.array([-1.0, 0.6, 2.0]))
+    sol = lp._certify(model, lp.HighsResult("optimal", "", x, y, 1))
+    assert sol.status == "optimal"
+    assert sol.dual_gap == pytest.approx(2e-9 * 1.6, rel=1e-6)
+    # without that row nothing bounds x1, whose reduced cost must then be >= 0
+    sol = lp._certify(small_model(), lp.HighsResult("optimal", "", x, y[:2], 1))
+    assert sol.status == "error" and "dual violation=2e-09" in sol.message
+
+
+def test_planner_lps_certify():
+    """1,500 seeded planner LPs, every one feasible (Delta <= alpha_eps),
+    all certify as optimal.  In 8 of them HiGHS's row duals give a basic
+    column a reduced cost of -1.6e-9 to -5.7e-8 (so its exact value, 0, is
+    lost to round-off); a check of c - A'y >= -1e-9 alone rejected them."""
+    rng = np.random.default_rng(0)
+    failed = []
+    for i in range(1500):
+        max_types = int(rng.integers(2, 20))
+        k_max = int(rng.integers(2, 40))
+        p0 = random_statistics(rng, max_types, k_max)
+        eps = float(rng.uniform(0.05, 0.6))
+        grid_n = int(rng.integers(5, 200))
+        delta = float(rng.uniform(0.01, 1)) * alpha_eps(p0, eps)
+        cfg = PlannerConfig(eps=eps, grid_n=grid_n, delta=delta,
+                            eta_mode=("full", "seed-only")[i % 2])
+        sol = solve(build_lp(p0, cfg)[0])
+        if sol.status != "optimal":
+            failed.append((i, sol.message))
+    assert failed == []
 
 
 def test_rejected_option_falls_back_to_defaults(monkeypatch, capfd):

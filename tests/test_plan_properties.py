@@ -1,7 +1,8 @@
 """Property suite: `ltmplan plan` on extreme statistics documents either
 plans (exit 0) or fails in the plan stage with one stderr line (exit 4); it
-never raises.  On small edge lists, every plan that `stats -> plan` makes is
-realized by `validate --edges` at any pick seed."""
+never raises.  On small directed and undirected edge lists, with computed,
+drawn, file or clamped file thresholds, every plan that `stats -> plan`
+makes is realized by `validate --edges` at any pick seed."""
 
 import contextlib
 import io
@@ -84,15 +85,24 @@ def test_plan_never_raises(doc, delta):
 
 @st.composite
 def edge_lists(draw):
-    """Lines of a small undirected edge list, and whether it has self-loop
-    lines (which `stats --drop-self-loops` drops)."""
+    """Lines of a small edge list, whether it has self-loop lines (which
+    `stats --drop-self-loops` drops), and one threshold from 0 to 4 per node
+    that a non-loop line names, some of them above the node's out-degree."""
     n = draw(st.integers(5, 40))
     node = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
                           min_size=1, max_size=3 * n))
+    named = sorted({u for e in pairs for u in e})
+    # a line into every node that has none: no plan lifts a node of
+    # in-degree 0, which would stop every directed list at the plan stage
+    heads = {v for _, v in pairs}
+    pairs += [(draw(st.sampled_from([u for u in named if u != v])), v)
+              for v in named if v not in heads]
     loops = draw(st.lists(node, max_size=3))
     lines = ["%d %d" % e for e in pairs] + ["%d %d" % (u, u) for u in loops]
-    return draw(st.permutations(lines)), bool(loops)
+    thresholds = draw(st.lists(st.integers(0, 4), min_size=len(named),
+                               max_size=len(named)))
+    return draw(st.permutations(lines)), bool(loops), thresholds
 
 
 def _run(argv):
@@ -103,20 +113,30 @@ def _run(argv):
     return rc, err.getvalue()
 
 
-@hypothesis.settings(max_examples=50, deadline=None)
-@hypothesis.given(edges=edge_lists(),
-                  rule=st.sampled_from([[], ["--threshold-rule", "uniform-random",
-                                             "--seed", "3"]]),
+# threshold flags of `stats`; "file" reads the drawn thresholds, which
+# --clamp-thresholds lowers to the out-degree where they exceed it
+RULES = {"half-out-degree": [],
+         "uniform-random": ["--threshold-rule", "uniform-random", "--seed", "3"],
+         "file": ["--threshold-rule", "file:{}"],
+         "clamped file": ["--threshold-rule", "file:{}", "--clamp-thresholds"]}
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(edges=edge_lists(), undirected=st.booleans(),
+                  rule=st.sampled_from(sorted(RULES)),
                   delta=st.sampled_from(["0.01", "0.05"]))
-def test_realize_any_plan(edges, rule, delta):
-    lines, loops = edges
+def test_realize_any_plan(edges, undirected, rule, delta):
+    lines, loops, thresholds = edges
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "edges.txt")
+        path, rho = (os.path.join(tmp, name) for name in ("edges.txt", "thresholds.txt"))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+        with open(rho, "w") as fh:
+            fh.write("".join("%d\n" % r for r in thresholds))
         stats, plan = (os.path.join(tmp, name) for name in ("statistics.json", "plan.json"))
         stages = [
-            ["stats", "--edges", path, "--undirected", *rule,
+            ["stats", "--edges", path, *(["--undirected"] if undirected else []),
+             *(arg.format(rho) for arg in RULES[rule]),
              *(["--drop-self-loops"] if loops else []), "--out", tmp],
             ["plan", "--statistics", stats, "--eps", "0.3", "--grid-n", "10",
              "--delta", delta, "--out", tmp],
@@ -130,5 +150,7 @@ def test_realize_any_plan(edges, rule, delta):
             assert err.count("\n") <= 1, err
             # a network the plan was made for is one it can be realized on
             assert rc == EXIT_OK or argv[0] != "validate", err
+            # clamped thresholds never exceed the out-degree
+            assert rc == EXIT_OK or argv[0] != "stats" or rule != "clamped file", err
             if rc != EXIT_OK:
                 break

@@ -463,6 +463,55 @@ def test_monte_carlo_reads_its_tables():
         assert sup == max(np.abs(t[:, col] - t[:, col + 2]).max() for t in rep.tables)
 
 
+def test_monte_carlo_shares_one_pairing(monkeypatch):
+    # replicates that round to the same type counts (n * p_w are integers
+    # here) set up one pairing, and each draws the network, thresholds and
+    # attempts that sampling alone draws on its child seed
+    built, runs = [], []
+
+    class Counted(sampler._Pairing):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    def recorded(g, rho):
+        runs.append((g, rho))
+        return cascade_fractions(g, rho)
+    monkeypatch.setattr(sampler, "_Pairing", Counted)
+    monkeypatch.setattr(sampler, "cascade_fractions", recorded)
+    xi = null_intervention(Statistics({AgentType(3, 3, 0, (0.0,)): 0.2,
+                                       AgentType(3, 3, 1, lin(1)): 0.8}))
+    rep = monte_carlo_validate(xi, n=2_000, replicates=4, eps=0.1, seed=21)
+    assert len(built) == 1
+    assert len(runs) == 4 and max(rep.attempts) > 1
+    for (g, rho), attempts, child in zip(runs, rep.attempts,
+                                         np.random.SeedSequence(21).spawn(4)):
+        want, want_rho, _, info = sample_configuration_model(xi.post, 2_000, seed=child)
+        assert np.array_equal(g.tails, want.tails)
+        assert np.array_equal(g.heads, want.heads)
+        assert np.array_equal(rho, want_rho)
+        assert attempts == info.attempts
+
+
+def test_loop_free_memo_keeps_its_values():
+    # a memoized q(N) is the float a fresh table computes, on first and on
+    # repeated calls; N = most + 1 holds no loop-free matching
+    runs, a, b = [(4, 4, 60), (2, 3, 40)], 320, 360
+    memo = sampler._LoopFree(runs, a, b, group=0)
+    sizes = list(range(memo.most + 2))
+    for n in sizes + sizes[::-1]:
+        assert memo(n) == sampler._LoopFree(runs, a, b, group=0)(n), n
+    assert memo(memo.most + 1) == 0.0
+
+
+def test_loop_free_memo_raises_again():
+    # a block whose q is lost to round-off raises on every call
+    loop_free = sampler._LoopFree([(20, 20, 200)], 4000, 4000, group=3)
+    for _ in range(2):
+        with pytest.raises(SamplerError, match="group 3: .* 10 loops expected"):
+            loop_free(2000)
+
+
 def test_monte_carlo_detects_failure():
     # thresholds at the out-degree: nothing ever activates
     p0 = Statistics({AgentType(3, 3, 3, lin(3)): 1.0})
