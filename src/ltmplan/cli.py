@@ -112,8 +112,10 @@ def _read_recipe(path, doc):
     for key, kind in RECIPE.items():
         if key not in config:
             raise ValueError("%s: missing key 'config.%s'" % (path, key))
-        if not isinstance(config[key], kind):
-            raise ValueError("%s: config.%s is %r" % (path, key, config[key]))
+        value = config[key]
+        # bool is an int in Python, but a recorded seed of true is no seed
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError("%s: config.%s is %r" % (path, key, value))
     return {key: config[key] for key in RECIPE}
 
 

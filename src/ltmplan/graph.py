@@ -21,11 +21,26 @@ class GraphError(ValueError):
     """Malformed graph, state, threshold or intervention data."""
 
 
+def _own(a) -> np.ndarray:
+    """a as a contiguous int64 array for the graph to freeze: a itself when
+    it is read-only already, else a copy, so the caller's writeable array
+    stays writeable."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.int64
+            and a.flags.c_contiguous and not a.flags.writeable):
+        return a
+    return np.array(a, dtype=np.int64, ndmin=1)
+
+
 @dataclass(frozen=True, eq=False)
 class MultiGraph:
     """Immutable directed multigraph given by parallel tail/head arrays,
     with its out- and in-degrees stored read-only.  Two graphs compare
-    equal only when they are the same object."""
+    equal only when they are the same object.
+
+    A tail or head array that is already read-only, contiguous and int64 is
+    shared; any other input is copied, so the graph never freezes or sees
+    later writes to its caller's writeable arrays.
+    """
 
     n: int
     tails: np.ndarray
@@ -37,8 +52,7 @@ class MultiGraph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("graph must have at least one node, got n=%d" % self.n)
-        tails = np.ascontiguousarray(self.tails, dtype=np.int64)
-        heads = np.ascontiguousarray(self.heads, dtype=np.int64)
+        tails, heads = _own(self.tails), _own(self.heads)
         if tails.shape != heads.shape or tails.ndim != 1:
             raise GraphError("tails and heads must be 1-D arrays of equal length")
         if tails.size:
@@ -232,5 +246,5 @@ def parse_edge_list(path, undirected: bool = False, drop_self_loops: bool = Fals
         raise GraphError("%s: no edges found, empty network rejected" % path)
     if dropped:
         log.warning("dropped %d self-loop line(s) from %s", dropped, path)
-    g = MultiGraph(len(id_map), np.asarray(tails), np.asarray(heads))
+    g = MultiGraph(len(id_map), tails, heads)
     return g, id_map

@@ -272,6 +272,9 @@ class _Pairing:
         nodes = np.arange(kappa.size)
         self.tails = np.repeat(nodes, kappa)
         self.heads_base = np.repeat(nodes, delta)
+        # read-only, so every graph drawn from this pairing shares tails
+        self.tails.setflags(write=False)
+        self.heads_base.setflags(write=False)
         m = self.tails.size
         groups = max(1, math.isqrt(m // GROUP_COST))
         stubs = np.cumsum(kappa + delta)
@@ -302,15 +305,9 @@ class _Pairing:
                 kappa[starts].tolist(), delta[starts].tolist(),
                 np.diff(starts, append=kappa.size).tolist()):
             runs[group].append((k, d, size))
-        # groups of one composition (runs, a, b) share one table, built for
-        # the first of them
-        tables = {}
-        self.loop_free = []
-        for group, key in enumerate(zip(map(tuple, runs), self.out_count.tolist(),
-                                        self.in_count.tolist())):
-            if key not in tables:
-                tables[key] = _LoopFree(*key, group)
-            self.loop_free.append(tables[key])
+        self.loop_free = [
+            _LoopFree(group_runs, a, b, group) for group, (group_runs, a, b) in
+            enumerate(zip(runs, self.out_count.tolist(), self.in_count.tolist()))]
 
     def draw(self, rng):
         """Heads aligned with tails for a loop-free pairing, or None when the
@@ -399,6 +396,7 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
         if heads is not None:
             log.debug("accepted attempt %d, predicted acceptance "
                       "exp(-<dk>/<d>) = %.4g", attempt, acceptance)
+            heads.setflags(write=False)
             g = MultiGraph(type_of.size, pairing.tails, heads)
             return g, rho, type_of, SampleInfo(attempt, acceptance)
     raise SamplerError(

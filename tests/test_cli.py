@@ -5,6 +5,7 @@ import shlex
 
 import pytest
 
+from ltmplan import lp
 from ltmplan.cli import (EXIT_OK, EXIT_PLAN, EXIT_STATS, EXIT_USAGE,
                          EXIT_VALIDATE, _write_json, main, parse_args)
 
@@ -167,7 +168,8 @@ RECIPE_KEYS = ("undirected", "drop_self_loops", "threshold_rule", "cost_rule",
     ("config", None, "missing key 'config'"),
     *((key, None, "missing key 'config.%s'" % key) for key in RECIPE_KEYS),
     ("seed", "1", "config.seed is '1'"),
-], ids=["no-config", *("no-" + key for key in RECIPE_KEYS), "seed-text"])
+    ("seed", True, "config.seed is True"),
+], ids=["no-config", *("no-" + key for key in RECIPE_KEYS), "seed-text", "seed-bool"])
 def test_validate_realize_needs_recorded_recipe(tmp_path, capsys, key, value, message):
     # None drops the key; any other value replaces it
     stats = run_stats(tmp_path)
@@ -311,6 +313,18 @@ def test_exit_code_plan_error(tmp_path):
                "--grid-n", "50", "--delta", "0.9",
                "--out", str(tmp_path / "x")])
     assert rc == EXIT_PLAN
+
+
+def test_exit_code_lp_failure(tmp_path, capsys, monkeypatch):
+    # a solve that fails outright is a plan-stage error of one line
+    stats = run_stats(tmp_path)
+    failed = lp.LpSolution("error", None, None, None, None, 0, "no basis")
+    monkeypatch.setattr(lp, "solve", lambda model: failed)
+    capsys.readouterr()
+    rc = main(["plan", "--statistics", stats, "--eps", "0.1", "--grid-n", "50",
+               "--delta", "0.05", "--out", str(tmp_path / "x")])
+    assert rc == EXIT_PLAN
+    assert "LP solve failed: error (no basis)" in assert_one_line(capsys, "planner error:")
 
 
 def assert_one_line(capsys, prefix):

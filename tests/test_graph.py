@@ -16,6 +16,13 @@ def test_degrees_and_no_self_loops(path3):
     assert path3.edge_count == 4
     with pytest.raises(GraphError, match="self-loop"):
         MultiGraph(2, np.array([0, 1]), np.array([1, 1]))
+    for n, tails, heads, message in (
+            (0, [], [], "at least one node, got n=0"),
+            (2, [0, 1], [1], "1-D arrays of equal length"),
+            (2, [0, 2], [1, 0], "tail node id out of range"),
+            (2, [0, 1], [1, -1], "head node id out of range")):
+        with pytest.raises(GraphError, match=message):
+            MultiGraph(n, tails, heads)
 
 
 @pytest.mark.parametrize("order", ["unsorted", "sorted"])
@@ -40,6 +47,26 @@ def test_neighbor_activity_counts_parallel_edges(order):
         for degrees in (g.out_degrees, g.in_degrees):
             with pytest.raises(ValueError, match="read-only"):
                 degrees[0] = 7
+
+
+def test_graph_leaves_its_inputs_writeable():
+    # a writeable input is copied: the caller may still write it, and the
+    # graph does not see the write
+    for dtype in (np.int64, np.int32):
+        tails, heads = np.array([0, 1, 2], dtype=dtype), np.array([1, 2, 0], dtype=dtype)
+        g = MultiGraph(3, tails, heads)
+        tails[0], heads[0] = 1, 2
+        assert tails.flags.writeable and heads.flags.writeable
+        assert g.tails.tolist() == [0, 1, 2] and g.heads.tolist() == [1, 2, 0]
+        assert g.neighbor_activity(np.array([0, 1, 0])).tolist() == [1, 0, 0]
+        for a in (g.tails, g.heads):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+    # a read-only contiguous int64 input is shared as it is
+    frozen = np.array([0, 1, 2])
+    frozen.setflags(write=False)
+    g = MultiGraph(3, frozen, np.array([1, 2, 0]))
+    assert g.tails is frozen
 
 
 def test_graph_equality_is_identity(path3):
@@ -93,6 +120,10 @@ def test_trajectory_constant_cases(path3):
 def test_trajectory_rejects_negative_horizon(path3):
     with pytest.raises(GraphError):
         ltm_trajectory(path3, np.zeros(3, dtype=int), np.zeros(3), -1)
+    for x0, message in ((np.zeros(2), "state has length 2, expected 3"),
+                        (np.array([0, 2, 0]), "entries must be 0 or 1")):
+        with pytest.raises(GraphError, match=message):
+            ltm_trajectory(path3, np.zeros(3, dtype=int), x0, 5)
 
 
 def test_apply_intervention():
@@ -100,6 +131,10 @@ def test_apply_intervention():
     assert list(apply_intervention([2, 1, 0], [0, 0, 0])) == [2, 1, 0]
     with pytest.raises(GraphError, match="infeasible"):
         apply_intervention([1, 1], [2, 0])
+    with pytest.raises(GraphError, match="length 1 does not match thresholds 2"):
+        apply_intervention([1, 1], [1])
+    with pytest.raises(GraphError, match="must be non-negative"):
+        apply_intervention([1, 1], [-1, 0])
 
 
 def test_active_fraction():
@@ -184,6 +219,8 @@ def test_threshold_validation(path3):
         check_thresholds(path3, np.array([-1, 0, 0]))
     with pytest.raises(GraphError, match="length"):
         check_thresholds(path3, np.array([0, 0]))
+    with pytest.raises(GraphError, match="must be integers"):
+        check_thresholds(path3, np.array([0.5, 0.0, 0.0]))
 
 
 def test_parse_edge_list(tmp_path):

@@ -19,6 +19,8 @@ def test_binom_tail_edges():
     assert binom_tail(5, 3, 1.0) == 1.0
     assert binom_tail(5, 0, 0.0) == 1.0
     assert binom_tail(1, 1, 0.25) == pytest.approx(0.25)
+    with pytest.raises(ValueError, match="need 0 <= r <= k, got r=4, k=3"):
+        binom_tail(3, 4, 0.5)
 
 
 def test_binom_tail_against_scipy_sf():
@@ -78,6 +80,9 @@ def test_psi_phi_worked_example(path3=None):
     z = 0.5
     assert psi(p, z) == pytest.approx(5 / 12)
     assert phi(p, z) == pytest.approx(0.375)
+    # no in-link to weigh by: phi is undefined
+    with pytest.raises(ValueError, match="degree-weighted map undefined"):
+        phi(Statistics({AgentType(0, 2, 1, lin(1)): 1.0}), z)
 
 
 def test_grid_matches_scalar():
@@ -278,6 +283,11 @@ def test_psi_inverse():
     assert psi(high, z) == pytest.approx(0.6, abs=1e-9)
     with pytest.raises(ValueError):
         psi_inverse(p, 1.5)
+    # masses within round-off of 1 put psi(1) just below the top level
+    short = Statistics({AgentType(2, 2, 1, lin(1)): 0.5,
+                        AgentType(2, 2, 0, (0.0,)): 0.5 - 1e-10})
+    with pytest.raises(ValueError, match="exceeds psi"):
+        psi_inverse(short, 1.0)
 
 
 def test_dump_curves(tmp_path):

@@ -1,8 +1,10 @@
 """Property suite: `ltmplan plan` on extreme statistics documents either
 plans (exit 0) or fails in the plan stage with one stderr line (exit 4); it
 never raises.  On small directed and undirected edge lists, with computed,
-drawn, file or clamped file thresholds, every plan that `stats -> plan`
-makes is realized by `validate --edges` at any pick seed."""
+drawn, file or clamped file thresholds and preset or file costs, every plan
+that `stats -> plan` makes is realized by `validate --edges` at any pick
+seed; a cost file that lacks a node's type stops `stats` with one line that
+names the type."""
 
 import contextlib
 import io
@@ -11,6 +13,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -105,6 +108,37 @@ def edge_lists(draw):
     return draw(st.permutations(lines)), bool(loops), thresholds
 
 
+def _degrees(lines, undirected):
+    """In- and out-degree of each node of the network `stats` reads from
+    these lines, self-loop lines dropped, in the order of its id map."""
+    ids, d, k = {}, [], []
+    for line in lines:
+        u, v = line.split()
+        if u == v:
+            continue
+        for w in (u, v):
+            if w not in ids:
+                ids[w] = len(ids)
+                d.append(0)
+                k.append(0)
+        for tail, head in ((u, v), (v, u))[:1 + undirected]:
+            k[ids[tail]] += 1
+            d[ids[head]] += 1
+    return d, k
+
+
+def _cost_records(pairs, rng):
+    """A random non-decreasing cost table with c(0) = 0, some steps of 0,
+    for every (d, k, r), 0 <= r <= k, of these degree pairs."""
+    records = []
+    for d, k in sorted(set(pairs)):
+        for r in range(k + 1):
+            steps = rng.uniform(0.0, 5.0, r) * (rng.random(r) < 0.8)
+            records.append({"d": d, "k": k, "r": r,
+                            "cost": [0.0, *np.cumsum(steps).tolist()]})
+    return records
+
+
 def _run(argv):
     """main(argv) with its output captured; returns (exit code, stderr)."""
     err = io.StringIO()
@@ -124,19 +158,37 @@ RULES = {"half-out-degree": [],
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(edges=edge_lists(), undirected=st.booleans(),
                   rule=st.sampled_from(sorted(RULES)),
-                  delta=st.sampled_from(["0.01", "0.05"]))
-def test_realize_any_plan(edges, undirected, rule, delta):
+                  delta=st.sampled_from(["0.01", "0.05"]),
+                  costs=st.sampled_from(["preset", "file", "file without a type"]),
+                  cost_seed=st.integers(0, 2**32 - 1))
+def test_realize_any_plan(edges, undirected, rule, delta, costs, cost_seed):
     lines, loops, thresholds = edges
+    d, k = _degrees(lines, undirected)
+    rng = np.random.default_rng(cost_seed)
+    records, lacking = _cost_records(zip(d, k), rng), None
+    if costs == "file without a type" and rule.endswith("file"):
+        # drop one node's (d, k, r); stats must name it unless a file
+        # threshold above its out-degree stops stats first
+        r = np.minimum(thresholds, k) if rule == "clamped file" else thresholds
+        types = list(zip(d, k, (int(v) for v in r)))
+        lacking = types[rng.integers(len(types))]
+        records = [rec for rec in records if (rec["d"], rec["k"], rec["r"]) != lacking]
+        if any(t[2] > t[1] for t in types):
+            lacking = None
     with tempfile.TemporaryDirectory() as tmp:
-        path, rho = (os.path.join(tmp, name) for name in ("edges.txt", "thresholds.txt"))
+        path, rho, cost = (os.path.join(tmp, name)
+                           for name in ("edges.txt", "thresholds.txt", "costs.json"))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         with open(rho, "w") as fh:
             fh.write("".join("%d\n" % r for r in thresholds))
+        with open(cost, "w") as fh:
+            json.dump(records, fh)
         stats, plan = (os.path.join(tmp, name) for name in ("statistics.json", "plan.json"))
         stages = [
             ["stats", "--edges", path, *(["--undirected"] if undirected else []),
              *(arg.format(rho) for arg in RULES[rule]),
+             *([] if costs == "preset" else ["--cost-rule", "file:" + cost]),
              *(["--drop-self-loops"] if loops else []), "--out", tmp],
             ["plan", "--statistics", stats, "--eps", "0.3", "--grid-n", "10",
              "--delta", delta, "--out", tmp],
@@ -150,7 +202,11 @@ def test_realize_any_plan(edges, undirected, rule, delta):
             assert err.count("\n") <= 1, err
             # a network the plan was made for is one it can be realized on
             assert rc == EXIT_OK or argv[0] != "validate", err
+            if argv[0] == "stats" and lacking:
+                assert rc == EXIT_STATS and err.startswith("statistics error:"), err
+                assert "no cost table for (d=%d, k=%d, r=%d)" % lacking in err, err
             # clamped thresholds never exceed the out-degree
-            assert rc == EXIT_OK or argv[0] != "stats" or rule != "clamped file", err
+            assert rc == EXIT_OK or argv[0] != "stats" or rule != "clamped file" \
+                or lacking, err
             if rc != EXIT_OK:
                 break

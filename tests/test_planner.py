@@ -72,6 +72,8 @@ def test_alpha_eps():
     assert alpha_eps(p, 0.2) == pytest.approx(0.15)
     with pytest.raises(PlannerError, match="in-degree 0"):
         alpha_eps(Statistics({AgentType(0, 2, 1, lin(1)): 1.0}), 0.2)
+    with pytest.raises(PlannerError, match="eps must lie in"):
+        alpha_eps(p, 0.0)
 
 
 def test_delta_n():
@@ -79,6 +81,8 @@ def test_delta_n():
     alpha = alpha_eps(p, 0.1)
     expect = (1.0 - alpha) / 200 * meanfield.derivative_bound(p)
     assert delta_n(p, 0.1, 100) == pytest.approx(expect)
+    with pytest.raises(PlannerError, match="grid size N must be >= 1"):
+        delta_n(p, 0.1, 0)
 
 
 def test_build_lp_structure():

@@ -314,6 +314,12 @@ def test_sample_rejects_unbalanced_statistics():
     p = Statistics({AgentType(1, 3, 1, lin(1)): 1.0})  # <d> != <k>
     with pytest.raises(SamplerError, match="not realizable"):
         sample_configuration_model(p, 50, seed=1)
+    # balanced in the mean, but 3 nodes round to two of one type and one of
+    # the other
+    p = Statistics({AgentType(1, 2, 1, lin(1)): 0.5, AgentType(2, 1, 1, lin(1)): 0.5})
+    with pytest.raises(SamplerError,
+                       match=r"stub imbalance after rounding: (5 out vs 4|4 out vs 5) in"):
+        sample_configuration_model(p, 3, seed=1)
 
 
 def test_sample_without_links():
@@ -354,6 +360,9 @@ def test_realize_intervention():
             assert w_i == w
             reduced[h[i]] += 1
     assert reduced == {1: 4, 2: 4}  # 0.1 * 40 nodes at each depth
+    # the same plan on thresholds of 1: a reduction by 2 overshoots them
+    with pytest.raises(SamplerError, match="realized intervention exceeds thresholds"):
+        realize_intervention(type_of, np.ones_like(rho), xi, seed=12)
 
 
 def test_realize_intervention_ignores_round_off():
@@ -491,6 +500,30 @@ def test_monte_carlo_shares_one_pairing(monkeypatch):
         assert np.array_equal(g.heads, want.heads)
         assert np.array_equal(rho, want_rho)
         assert attempts == info.attempts
+
+
+def test_pairing_keeps_one_table_per_group():
+    # d = k = 4 at n = 1e4: 6 groups of two compositions (their node counts
+    # differ by one); each group holds its own table, so a round-off error
+    # names the group it happened in
+    degrees = np.full(10_000, 4)
+    pairing = sampler._Pairing(degrees, degrees)
+    assert len(pairing.loop_free) == 6
+    assert len({(t.most, tuple(t.rook)) for t in pairing.loop_free}) == 2
+    assert [t.group for t in pairing.loop_free] == list(range(6))
+
+
+def test_sampled_graphs_share_the_pairing_tails():
+    # the pairing's stub lists are frozen when built, so every graph drawn
+    # from one pairing holds its tails uncopied
+    p = Statistics({AgentType(3, 3, 1, lin(1)): 1.0})
+    pairings = {}
+    graphs = [sample_configuration_model(p, 200, seed=seed, _pairings=pairings)[0]
+              for seed in (1, 2)]
+    (pairing,) = pairings.values()
+    assert np.shares_memory(graphs[0].tails, graphs[1].tails)
+    assert np.shares_memory(graphs[0].tails, pairing.tails)
+    assert not np.shares_memory(graphs[0].heads, graphs[1].heads)
 
 
 def test_loop_free_memo_keeps_its_values():

@@ -28,6 +28,10 @@ def test_agent_type_validation():
         AgentType(2, 3, 1, (0.0,))                      # wrong length
     with pytest.raises(StatsError):
         AgentType(2, 3, 1, (0.0, float("nan")))         # not finite
+    with pytest.raises(StatsError, match="degrees must be non-negative"):
+        AgentType(-1, 3, 1, (0.0, 1.0))
+    with pytest.raises(StatsError, match="eta=3 outside 0..r=2"):
+        AgentType(2, 3, 2, (0.0, 1.0, 1.5)).reduced(3)
 
 
 def test_statistics_validation():
@@ -225,6 +229,8 @@ def test_check_well_posed_degree_bound():
     p = Statistics({w: 1.0})
     assert check_well_posed(2, p).degree_bound       # 3 + 3 <= 2 * 3
     assert not check_well_posed(1, p).degree_bound   # 3 + 3 > 1 * 3
+    with pytest.raises(StatsError, match="n must be >= 1"):
+        check_well_posed(0, p)
 
 
 def test_check_well_posed_moment_balance():
