@@ -148,11 +148,10 @@ def _network(edges, recipe):
 
 
 def _statistics(g, recipe):
-    """Thresholds drawn by the recipe, then the type statistics of g and each
-    node's type code into them."""
+    """Thresholds drawn by the recipe and checked, then the type statistics
+    of g and each node's type code into them."""
     rho = threshold_rule(recipe["threshold_rule"], seed=recipe["seed"])(g)
-    if recipe["clamped"]:
-        rho = check_thresholds(g, rho, clamp=True)
+    rho = check_thresholds(g, rho, clamp=recipe["clamped"])
     p0, type_of = extract_statistics(g, rho, cost_rule(recipe["cost_rule"]))
     return rho, p0, type_of
 

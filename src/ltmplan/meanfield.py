@@ -187,47 +187,40 @@ def _columns(table, lo, hi, d, mean_d: float) -> np.ndarray:
     return out
 
 
-def coeff_matrix(d, k, r, eta, z, mean_d: float) -> np.ndarray:
-    """Intervention coefficients a_{w,eta}(z) for columns given as arrays of
-    in-degree d, out-degree k, threshold r and reduction eta, with <p0, d>
-    passed in.  Shape z.shape + (number of columns,).
-
-    a = d (P[Bin(k, z) >= r - eta] - P[Bin(k, z) >= r]) / <p0, d> is the
-    sensitivity of the degree-weighted map to moving unit mass of the type
-    down by eta threshold units; non-negative since lowering the threshold
-    can only raise the tail.
-    """
+def lift(p0, d, k, r, eta, z, post=None):
+    """(phi of p0, coefficients a, phi of the statistics `post` or None) at
+    z from one tail table.  Column j of a, shape z.shape + (columns,), is
+    d (P[Bin(k, z) >= r - eta] - P[Bin(k, z) >= r]) / <p0, d>, the rise of
+    phi per unit mass of type (d, k, r) moved down by eta threshold units:
+    non-negative, and moving masses x makes phi0 + a @ x of phi."""
     d, k, r, eta = (np.atleast_1d(np.asarray(v, dtype=np.int64)) for v in (d, k, r, eta))
     bad = (eta < 1) | (eta > r)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise ValueError("eta=%d outside 1..r=%d" % (eta[i], r[i]))
-    # both tails of every column, evaluated once per distinct (k, r') pair
-    table, (lo, hi) = _tail_table(z, (k, r - eta), (k, r))
-    return _columns(table, lo, hi, d, mean_d)
+    curves = [_Curves(s) for s in (p0, post) if s is not None]
+    table, (lo, hi, *at) = _tail_table(z, (k, r - eta), (k, r),
+                                       *((c.k, c.r) for c in curves))
+    # a C-ordered gather sums each curve as phi sums its own table
+    phis = [table.take(i, axis=-1) @ c.link for i, c in zip(at, curves)]
+    return (phis[0], _columns(table, lo, hi, d, p0.moment("d")),
+            None if post is None else phis[1])
 
 
 def coeff_a(w, eta: int, z, p0):
-    """Coefficient a_{w,eta}(z) of one (type, eta) column; see coeff_matrix."""
-    out = coeff_matrix(w.d, w.k, w.r, eta, z, p0.moment("d"))[..., 0]
-    return _scalar_if(out, z)
+    """Coefficient a_{w,eta}(z) of one (type, eta) column; see lift."""
+    return _scalar_if(lift(p0, w.d, w.k, w.r, eta, z)[1][..., 0], z)
 
 
 def phi_post(xi, z):
-    """phi of the statistics after the intervention xi, read off one tail
-    table over z: directly, from xi.post, and decomposed as the baseline
-    curve plus a linear correction in the intervention masses.  Returns
-    (direct, decomposed); the relaxed audit cross-checks the two."""
-    p0 = xi.base
-    moved = xi.moved()
-    code, eta, masses = xi.code[moved], xi.eta[moved], xi.mass[moved]
-    d, k, r = p0.d[code], p0.k[code], p0.r[code]
-    base, post = _Curves(p0), _Curves(xi.post)
-    table, (at_base, lo, hi, at_post) = _tail_table(
-        z, (base.k, base.r), (k, r - eta), (k, r), (post.k, post.r))
-    decomposed = (table[..., at_base] @ base.link
-                  + _columns(table, lo, hi, d, p0.moment("d")) @ masses)
-    return table[..., at_post] @ post.link, decomposed
+    """phi after the intervention xi over z, from one tail table: (direct,
+    from xi.post; decomposed, as phi0 plus the lift of the moved masses).
+    The relaxed audit cross-checks the two."""
+    p0, moved = xi.base, xi.moved()
+    code = xi.code[moved]
+    phi0, columns, direct = lift(p0, p0.d[code], p0.k[code], p0.r[code],
+                                 xi.eta[moved], z, xi.post)
+    return direct, phi0 + columns @ xi.mass[moved]
 
 
 def phi_decomposed(xi, z):

@@ -123,21 +123,19 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     """
     _, zs, delta, _ = _grid_and_margins(p0, cfg)
     owner, eta, cost = _variables(p0, cfg.eta_mode)
-    coeffs = meanfield.coeff_matrix(p0.d[owner], p0.k[owner], p0.r[owner], eta,
-                                    zs, p0.moment("d"))
+    phi0, coeffs, _ = meanfield.lift(p0, p0.d[owner], p0.k[owner], p0.r[owner],
+                                     eta, zs)
     # a column that can never help would never be selected
     keep = np.any(coeffs > 0.0, axis=0) | (cost <= 0.0)
     owner, eta = owner[keep], eta[keep]
     columns = np.column_stack([owner, eta])
     nv = len(columns)
-    grid_rhs = meanfield.phi(p0, zs) - (zs + delta)
     # one budget row per type that keeps a column, in type order
     used, row_of = np.unique(owner, return_inverse=True)
     budget_rows = np.zeros((used.size, nv))
     budget_rows[row_of, np.arange(nv)] = 1.0
-    budget_rhs = p0.m[used]
     rows = np.vstack([-coeffs[:, keep], budget_rows])
-    rhs = np.concatenate([grid_rhs, budget_rhs])
+    rhs = np.concatenate([phi0 - (zs + delta), p0.m[used]])
     return lp.LpModel(cost[keep], rows, rhs), columns, zs
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -250,9 +251,11 @@ def cost_rule(name: str):
         return lambda d, k, r: (0.0,) + (1.0,) * r
     if name.startswith("file:"):
         with open(name[5:]) as fh:
-            records = json.load(fh)
-        table = {(int(rec["d"]), int(rec["k"]), int(rec["r"])): tuple(rec["cost"])
-                 for rec in records}
+            try:
+                table = {(int(rec["d"]), int(rec["k"]), int(rec["r"])): tuple(rec["cost"])
+                         for rec in json.load(fh)}
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError("%s: %s: %s" % (name[5:], type(exc).__name__, exc)) from exc
 
         def lookup(d, k, r):
             try:
@@ -286,10 +289,16 @@ def threshold_rule(name: str, seed=None):
         path = name[5:]
 
         def load(g):
-            rho = np.loadtxt(path, dtype=np.int64, ndmin=1)
+            with warnings.catch_warnings():
+                # an empty file is reported by its entry count, below
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    rho = np.loadtxt(path, dtype=np.int64, ndmin=1)
+                except ValueError as exc:
+                    raise ValueError("%s: %s" % (path, exc)) from exc
             if rho.size != g.n:
-                raise StatsError("threshold file has %d entries, graph has %d nodes"
-                                 % (rho.size, g.n))
+                raise StatsError("threshold file %s has %d entries, graph has %d nodes"
+                                 % (path, rho.size, g.n))
             return rho
         return load
     raise StatsError("unknown threshold rule %r" % name)

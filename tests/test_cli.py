@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shlex
+import warnings
 
 import pytest
 
@@ -305,6 +306,46 @@ def test_exit_code_stats_error(tmp_path):
     bad.write_text("a a\n")
     rc = main(["stats", "--edges", str(bad), "--out", str(tmp_path / "x")])
     assert rc == EXIT_STATS
+
+
+# a cost for every type of the directed three-node cycle (d = k = 1)
+CYCLE_COSTS = [{"d": 1, "k": 1, "r": 0, "cost": [0.0]},
+               {"d": 1, "k": 1, "r": 1, "cost": [0.0, 1.0]}]
+
+
+def cycle_stats_argv(tmp_path, thresholds, costs):
+    """`stats` argv for a directed three-node cycle whose thresholds and
+    costs are read from files with these contents."""
+    edges, rho, cost = (tmp_path / name for name in ("cycle.txt", "rho.txt", "costs.json"))
+    edges.write_text("0 1\n1 2\n2 0\n")
+    rho.write_text(thresholds)
+    cost.write_text(json.dumps(costs))
+    return ["stats", "--edges", str(edges), "--threshold-rule", "file:%s" % rho,
+            "--cost-rule", "file:%s" % cost, "--out", str(tmp_path / "x")]
+
+
+def test_file_threshold_above_out_degree_is_named_before_costs(tmp_path, capsys):
+    # the cost file has no entry for r = 5, but the threshold is at fault
+    rc = main(cycle_stats_argv(tmp_path, "5\n0\n0\n", CYCLE_COSTS))
+    assert rc == EXIT_STATS
+    assert "threshold 5 exceeds out-degree 1 at node 0" in assert_one_line(
+        capsys, "graph error:")
+
+
+@pytest.mark.parametrize("thresholds, costs, culprit", [
+    ("", CYCLE_COSTS, "rho.txt"),
+    ("2.5\n0\n0\n", CYCLE_COSTS, "rho.txt"),
+    ("0\n0\n0\n", [{"d": 1}], "costs.json"),
+], ids=["empty thresholds", "fractional threshold", "cost record without k"])
+def test_malformed_rule_file_fails_in_one_line_naming_it(tmp_path, capsys, thresholds,
+                                                         costs, culprit):
+    argv = cycle_stats_argv(tmp_path, thresholds, costs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == EXIT_STATS
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path / culprit) in err, err
 
 
 def test_exit_code_plan_error(tmp_path):

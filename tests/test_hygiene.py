@@ -193,3 +193,54 @@ def test_cascade_stays_in_graph():
             found = refers_to(fh.read(), "ltm_trajectory")
         if os.path.basename(path) != "__init__.py":
             assert found == (os.path.basename(path) == "graph.py"), path
+
+
+def private_references(source: str, modules):
+    """Sorted (line, module, name) of every private name (_name, not
+    __dunder__) that `source` takes from one of the package `modules`,
+    as `module._name` or by `from .module import _name`."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    tree = ast.parse(source)
+    bound, found = {}, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not node.level:
+            if module.split(".")[0] != "ltmplan":
+                continue
+            module = module[len("ltmplan."):]
+        if not module:
+            bound.update((a.asname or a.name, a.name) for a in node.names
+                         if a.name in modules)
+        elif module in modules:
+            found += [(node.lineno, module, a.name) for a in node.names if private(a.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and private(node.attr)):
+            found.append((node.lineno, bound[node.value.id], node.attr))
+    return sorted(found)
+
+
+def test_scan_finds_private_references():
+    source = ("from . import lp, meanfield as mf\n"
+              "from .graph import _a, b, __version__\n"
+              "from ltmplan.sampler import _Pairing\n"
+              "from numpy import _core\n"
+              "mf._tail(lp.solve, lp._highs, mf.__name__, x._y, mf.lift)\n")
+    assert private_references(source, {"lp", "meanfield", "graph", "sampler"}) == [
+        (2, "graph", "_a"), (3, "sampler", "_Pairing"), (5, "lp", "_highs"),
+        (5, "meanfield", "_tail")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: os.path.relpath(p, ROOT))
+def test_no_private_names_across_modules(path):
+    """A package module uses only the public names of the others: a
+    private name, such as the tail kernels of `meanfield`, may change
+    with its own module alone."""
+    own = os.path.splitext(os.path.basename(path))[0]
+    others = {os.path.splitext(os.path.basename(p))[0] for p in PACKAGE} - {own}
+    with open(path) as fh:
+        assert private_references(fh.read(), others) == []

@@ -362,6 +362,36 @@ def test_audit_cross_check_fires(monkeypatch):
         audit_relaxed(res.xi, 0.1, 1000)
 
 
+@pytest.mark.parametrize("p0, cfg", [
+    (mixed_quartic(), PlannerConfig(eps=0.1, grid_n=100, delta=0.05)),
+    (powergrid_instance(), PlannerConfig(eps=0.3, grid_n=100, delta=0.05)),
+], ids=["criterion6", "powergrid"])
+def test_lp_and_audit_each_read_one_tail_table(p0, cfg, monkeypatch):
+    # the LP's grid rhs and its columns come off one tail evaluation, and
+    # the relaxed audit's two curves off one more
+    calls = []
+    tail = meanfield._tail
+    monkeypatch.setattr(meanfield, "_tail", lambda *a: calls.append(1) or tail(*a))
+    model, columns, zs = build_lp(p0, cfg)
+    assert len(calls) == 1
+    x = lp.solve(model).x
+    audit_relaxed(solution_to_intervention(p0, columns, x), cfg.eps, cfg.audit_points)
+    assert len(calls) == 2
+
+
+def test_wrong_lp_columns_fail_the_audit(monkeypatch):
+    # the LP's columns and the audit's decomposition come from one routine,
+    # so columns that misstate the lift make the plan fail its own audit
+    lift = meanfield.lift
+
+    def scaled(*args, **kwargs):
+        phi0, columns, post = lift(*args, **kwargs)
+        return phi0, 1.001 * columns, post
+    monkeypatch.setattr(meanfield, "lift", scaled)
+    with pytest.raises(PlannerError, match="cross-check"):
+        plan(mixed_quartic(), PlannerConfig(eps=0.1, grid_n=100, delta=0.05))
+
+
 def test_plan_to_dict_is_json_ready():
     res = plan(mixed_quartic(), PlannerConfig(eps=0.1, grid_n=50, delta=0.05))
     doc = res.to_dict()
