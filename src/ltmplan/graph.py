@@ -4,6 +4,14 @@ A node observes the heads of its outgoing links: node i switches to state 1
 when at least rho_i of the nodes it points to are in state 1.  Thresholds are
 therefore bounded by the out-degree.  Parallel edges count with multiplicity;
 self-loops are never allowed.
+
+The adjacency is a CSR matrix whose index arrays and data share one integer
+dtype, int32 whenever the node and link counts are below 2**31 and int64
+otherwise (`_index_dtype`).  A node's active count never exceeds its
+out-degree, hence never the link count, so products in that dtype cannot
+overflow.  A cascade from all-zeros reads its first step off the thresholds,
+x(1) = (rho == 0), so every product it makes is a step that can change the
+state.
 """
 
 from __future__ import annotations
@@ -19,6 +27,30 @@ log = logging.getLogger(__name__)
 
 class GraphError(ValueError):
     """Malformed graph, state, threshold or intervention data."""
+
+
+def _index_dtype(size: int):
+    """The CSR index and count dtype for a graph whose node and link counts
+    are at most `size`."""
+    return np.int32 if size < 2**31 else np.int64
+
+
+def _degrees(ids: np.ndarray, n: int, end: str) -> np.ndarray:
+    """Per-node counts of the node ids in `ids`, each checked to lie in
+    [0, n): bincount rejects a negative id and returns more than n counts
+    for an id of n or more."""
+    try:
+        counts = np.bincount(ids, minlength=n)
+    except ValueError:
+        counts = None
+    except MemoryError:
+        # an id far beyond n asks bincount for that many counts
+        if ids.max(initial=0) < n:
+            raise
+        counts = None
+    if counts is None or counts.size > n:
+        raise GraphError("%s node id out of range [0, %d)" % (end, n))
+    return counts
 
 
 def _own(a) -> np.ndarray:
@@ -40,6 +72,10 @@ class MultiGraph:
     A tail or head array that is already read-only, contiguous and int64 is
     shared; any other input is copied, so the graph never freezes or sees
     later writes to its caller's writeable arrays.
+
+    The adjacency's index arrays and data are int32 while n and the link
+    count are below 2**31, else int64; `neighbor_activity` returns its
+    counts in that dtype.
     """
 
     n: int
@@ -55,18 +91,11 @@ class MultiGraph:
         tails, heads = _own(self.tails), _own(self.heads)
         if tails.shape != heads.shape or tails.ndim != 1:
             raise GraphError("tails and heads must be 1-D arrays of equal length")
-        if tails.size:
-            if tails.min() < 0 or tails.max() >= self.n:
-                raise GraphError("tail node id out of range [0, %d)" % self.n)
-            if heads.min() < 0 or heads.max() >= self.n:
-                raise GraphError("head node id out of range [0, %d)" % self.n)
-            if np.any(tails == heads):
-                bad = int(np.flatnonzero(tails == heads)[0])
-                raise GraphError(
-                    "self-loop at edge %d (node %d)" % (bad, int(tails[bad]))
-                )
-        out_degrees = np.bincount(tails, minlength=self.n)
-        in_degrees = np.bincount(heads, minlength=self.n)
+        out_degrees = _degrees(tails, self.n, "tail")
+        in_degrees = _degrees(heads, self.n, "head")
+        if np.any(tails == heads):
+            bad = int(np.flatnonzero(tails == heads)[0])
+            raise GraphError("self-loop at edge %d (node %d)" % (bad, int(tails[bad])))
         for name, a in (("tails", tails), ("heads", heads),
                         ("out_degrees", out_degrees), ("in_degrees", in_degrees)):
             a.setflags(write=False)
@@ -75,9 +104,11 @@ class MultiGraph:
         # heads included, in any order: a product with it counts them with
         # multiplicity.  Sampled networks come with their tails sorted.
         by_tail = heads[np.argsort(tails)] if np.any(tails[1:] < tails[:-1]) else heads
-        indptr = np.concatenate(([0], np.cumsum(out_degrees)))
+        dtype = _index_dtype(max(self.n, tails.size))
+        indptr = np.zeros(self.n + 1, dtype=dtype)
+        np.cumsum(out_degrees, dtype=dtype, out=indptr[1:])
         adj = sp.csr_matrix(
-            (np.ones(tails.size, dtype=np.int64), by_tail, indptr),
+            (np.ones(tails.size, dtype=dtype), by_tail.astype(dtype), indptr),
             shape=(self.n, self.n),
         )
         object.__setattr__(self, "_adj", adj)
@@ -87,15 +118,16 @@ class MultiGraph:
         return int(self.tails.size)
 
     def neighbor_activity(self, x: np.ndarray) -> np.ndarray:
-        """Per-node count of active observed neighbors, with multiplicity."""
-        return self._adj @ x.astype(np.int64)
+        """Per-node count of active observed neighbors, with multiplicity, in
+        the adjacency's dtype."""
+        return self._adj @ x.astype(self._adj.dtype)
 
 
 def _check_state(g: MultiGraph, x) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (g.n,):
         raise GraphError("state has length %d, expected %d" % (x.size, g.n))
-    if not np.isin(x, (0, 1)).all():
+    if not ((x == 0) | (x == 1)).all():
         raise GraphError("state entries must be 0 or 1")
     return x.astype(np.int8)
 
@@ -146,11 +178,12 @@ def ltm_trajectory(g: MultiGraph, rho, x0, t_max: int):
     if t_max < 0:
         raise GraphError("t_max must be >= 0")
     x = _check_state(g, x0)
-    rho = check_thresholds(g, rho)
+    # a threshold is at most its node's out-degree, so it fits the counts' dtype
+    rho = check_thresholds(g, rho).astype(g._adj.dtype)
     states = [x]
     fixed = False
     for _ in range(t_max):
-        x_next = (g.neighbor_activity(x) >= rho).astype(np.int8)
+        x_next = (g.neighbor_activity(x) >= rho).view(np.int8)
         if np.array_equal(x_next, x):
             fixed = True
             break
@@ -162,9 +195,17 @@ def ltm_trajectory(g: MultiGraph, rho, x0, t_max: int):
 def cascade_fractions(g: MultiGraph, rho):
     """Run the cascade from all-zeros; return per-step (active fraction Y,
     fraction of links pointing to active nodes Z) and the fixed-point flag."""
-    # from all-zeros the dynamics are monotone, so the fixed point arrives
-    # within n steps; one extra step confirms it
-    states, fixed, _ = ltm_trajectory(g, rho, np.zeros(g.n, dtype=np.int8), g.n + 1)
+    rho = check_thresholds(g, rho)
+    zero = np.zeros(g.n, dtype=np.int8)
+    # the first step from all-zeros activates exactly the zero thresholds
+    first = (rho == 0).view(np.int8)
+    if first.any():
+        # from all-zeros the dynamics are monotone: after x(1), at most n - 1
+        # steps change the state and one more confirms the fixed point
+        states, fixed, _ = ltm_trajectory(g, rho, first, g.n)
+        states.insert(0, zero)
+    else:
+        states, fixed = [zero], True
     delta = g.in_degrees
     # a link-free network has Z = 0 throughout
     total_links = float(g.edge_count) or 1.0

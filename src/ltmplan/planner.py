@@ -132,9 +132,14 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     nv = len(columns)
     # one budget row per type that keeps a column, in type order
     used, row_of = np.unique(owner, return_inverse=True)
-    budget_rows = np.zeros((used.size, nv))
-    budget_rows[row_of, np.arange(nv)] = 1.0
-    rows = np.vstack([-coeffs[:, keep], budget_rows])
+    # both blocks are written into one matrix, so no block is copied; the
+    # kept indices are in range, and mode="clip" lets take write into `grid`
+    # without the temporary copy its default mode makes
+    rows = np.zeros((zs.size + used.size, nv))
+    grid = rows[:zs.size]
+    np.negative(np.take(coeffs, np.flatnonzero(keep), axis=1, out=grid, mode="clip"),
+                out=grid)
+    rows[zs.size + row_of, np.arange(nv)] = 1.0
     rhs = np.concatenate([phi0 - (zs + delta), p0.m[used]])
     return lp.LpModel(cost[keep], rows, rhs), columns, zs
 

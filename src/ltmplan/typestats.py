@@ -250,18 +250,20 @@ def cost_rule(name: str):
     if name == "unit-seeding":
         return lambda d, k, r: (0.0,) + (1.0,) * r
     if name.startswith("file:"):
-        with open(name[5:]) as fh:
+        path = name[5:]
+        with open(path) as fh:
             try:
                 table = {(int(rec["d"]), int(rec["k"]), int(rec["r"])): tuple(rec["cost"])
                          for rec in json.load(fh)}
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError("%s: %s: %s" % (name[5:], type(exc).__name__, exc)) from exc
+                raise ValueError("%s: %s: %s" % (path, type(exc).__name__, exc)) from exc
 
         def lookup(d, k, r):
             try:
                 return table[(d, k, r)]
             except KeyError:
-                raise StatsError("no cost table for (d=%d, k=%d, r=%d) in file" % (d, k, r))
+                raise StatsError("no cost table for (d=%d, k=%d, r=%d) in %s"
+                                 % (d, k, r, path))
         return lookup
     raise StatsError("unknown cost rule %r" % name)
 

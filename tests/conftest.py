@@ -55,6 +55,21 @@ def post_calls(monkeypatch):
 
 
 @pytest.fixture
+def matvec_calls(monkeypatch):
+    """The states `MultiGraph.neighbor_activity` multiplies, in order, while
+    the test runs: one entry per sparse product."""
+    from ltmplan.graph import MultiGraph
+    calls = []
+    product = MultiGraph.neighbor_activity
+
+    def counted(g, x):
+        calls.append(x)
+        return product(g, x)
+    monkeypatch.setattr(MultiGraph, "neighbor_activity", counted)
+    return calls
+
+
+@pytest.fixture
 def path3():
     """3-node path with bidirected edges 0-1, 1-2; kappa = delta = (1, 2, 1)."""
     from ltmplan.graph import MultiGraph

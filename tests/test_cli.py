@@ -348,6 +348,14 @@ def test_malformed_rule_file_fails_in_one_line_naming_it(tmp_path, capsys, thres
     assert err.count("\n") == 1 and str(tmp_path / culprit) in err, err
 
 
+def test_cost_file_lacking_a_type_names_file_and_type(tmp_path, capsys):
+    # node 0's type (d=1, k=1, r=1) has no entry in the cost file
+    argv = cycle_stats_argv(tmp_path, "1\n0\n0\n", CYCLE_COSTS[:1])
+    assert main(argv) == EXIT_STATS
+    err = assert_one_line(capsys, "statistics error:")
+    assert str(tmp_path / "costs.json") in err and "(d=1, k=1, r=1)" in err, err
+
+
 def test_exit_code_plan_error(tmp_path):
     stats = run_stats(tmp_path)
     rc = main(["plan", "--statistics", stats, "--eps", "0.1",

@@ -20,7 +20,10 @@ def test_degrees_and_no_self_loops(path3):
             (0, [], [], "at least one node, got n=0"),
             (2, [0, 1], [1], "1-D arrays of equal length"),
             (2, [0, 2], [1, 0], "tail node id out of range"),
-            (2, [0, 1], [1, -1], "head node id out of range")):
+            (2, [-1, 1], [1, 0], "tail node id out of range"),
+            (2, [0, 1], [1, -1], "head node id out of range"),
+            (2, [0, 1], [2**40, 0], "head node id out of range"),
+            (2, [0, 1], [2**62, 0], "head node id out of range")):
         with pytest.raises(GraphError, match=message):
             MultiGraph(n, tails, heads)
 
@@ -121,7 +124,10 @@ def test_trajectory_rejects_negative_horizon(path3):
     with pytest.raises(GraphError):
         ltm_trajectory(path3, np.zeros(3, dtype=int), np.zeros(3), -1)
     for x0, message in ((np.zeros(2), "state has length 2, expected 3"),
-                        (np.array([0, 2, 0]), "entries must be 0 or 1")):
+                        (np.array([0, 2, 0]), "entries must be 0 or 1"),
+                        (np.array([0, -1, 0]), "entries must be 0 or 1"),
+                        (np.array([0, 0.5, 0]), "entries must be 0 or 1"),
+                        (np.array([0, np.nan, 0]), "entries must be 0 or 1")):
         with pytest.raises(GraphError, match=message):
             ltm_trajectory(path3, np.zeros(3, dtype=int), x0, 5)
 
@@ -198,6 +204,63 @@ def test_check_target_without_links():
             == (True, 1.0, 1)
         ys, zs, fixed = cascade_fractions(g, np.zeros(2, dtype=int))
     assert ys.tolist() == [0.0, 1.0] and zs.tolist() == [0.0, 0.0] and fixed
+
+
+def _dense_cascade(n, tails, heads, rho):
+    """Reference cascade from all-zeros: one dense product per state, Z as
+    the share of links whose head is active."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    np.add.at(adj, (tails, heads), 1)
+    states = [np.zeros(n, dtype=np.int64)]
+    while True:
+        x = (adj @ states[-1] >= rho).astype(np.int64)
+        if np.array_equal(x, states[-1]):
+            break
+        states.append(x)
+    links = float(len(tails)) or 1.0
+    ys = np.array([np.count_nonzero(x) / n for x in states])
+    zs = np.array([x[heads].sum() / links for x in states])
+    return ys, zs
+
+
+@pytest.mark.parametrize("order", ["unsorted", "sorted"])
+def test_cascade_matches_dense_reference(order):
+    rng = np.random.default_rng(47)
+    cases = []
+    for n in (3, 9, 60):
+        # parallel edges among the first n - 1 nodes; the last is isolated
+        tails = rng.integers(0, n - 1, 3 * n)
+        heads = (tails + rng.integers(1, n - 1, tails.size)) % (n - 1)
+        kappa = np.bincount(tails, minlength=n)
+        cases += [(n, tails, heads, rng.integers(0, kappa + 1)),
+                  (n, tails, heads, np.zeros(n, dtype=int))]
+        # no zero threshold: every node observes at least one link
+        ring = np.arange(n)
+        t2, h2 = np.concatenate([tails, ring]), np.concatenate([heads, (ring + 1) % n])
+        cases.append((n, t2, h2, rng.integers(1, np.bincount(t2, minlength=n) + 1)))
+    # 70,000 parallel out-links, all needed: counts cannot be narrower than int32
+    many = 70_000
+    cases.append((3, np.array([0] * many + [2]), np.array([1] * many + [0]),
+                  np.array([many, 0, 1])))
+    for n, tails, heads, rho in cases:
+        if order == "sorted":
+            keep = np.argsort(tails, kind="stable")
+            tails, heads = tails[keep], heads[keep]
+        ys, zs, fixed = cascade_fractions(MultiGraph(n, tails, heads), rho)
+        ref_ys, ref_zs = _dense_cascade(n, tails, heads, rho)
+        assert fixed
+        assert np.array_equal(ys, ref_ys) and np.array_equal(zs, ref_zs)
+    assert ys.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+
+
+def test_cascade_multiplies_once_per_step(path3, matvec_calls):
+    # each product is a step: the first is read off the zero thresholds, and
+    # the last confirms the fixed point
+    ys, _, fixed = cascade_fractions(path3, np.array([0, 1, 1]))
+    assert fixed and ys.size - 1 == 3 and len(matvec_calls) == 3
+    del matvec_calls[:]
+    ys, _, fixed = cascade_fractions(path3, path3.out_degrees)
+    assert fixed and ys.tolist() == [0.0] and matvec_calls == []
 
 
 def test_parallel_edges_count_with_multiplicity():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import lin, random_statistics
-from ltmplan import lp, meanfield
+from ltmplan import lp, meanfield, planner
 from ltmplan.graph import MultiGraph
 from ltmplan.sampler import realize_intervention
 from ltmplan.planner import (PlannerConfig, PlannerError, alpha_eps,
@@ -103,6 +103,25 @@ def test_build_lp_structure():
     types = p0.types()
     for c, (code, eta) in zip(model.objective, columns):
         assert c == types[code].cost[eta]
+
+
+@pytest.mark.parametrize("p0, eps", [(mixed_quartic(), 0.1), (powergrid_instance(), 0.3)],
+                         ids=["mixed quartic", "power grid"])
+def test_build_lp_matches_stacked_blocks(p0, eps):
+    # reference: the grid block and the budget block built apart and stacked
+    cfg = PlannerConfig(eps=eps, grid_n=20, delta=0.05)
+    model, columns, zs = build_lp(p0, cfg)
+    owner, eta, cost = planner._variables(p0, cfg.eta_mode)
+    phi0, coeffs, _ = meanfield.lift(p0, p0.d[owner], p0.k[owner], p0.r[owner],
+                                     eta, zs)
+    keep = np.any(coeffs > 0.0, axis=0) | (cost <= 0.0)
+    used, row_of = np.unique(owner[keep], return_inverse=True)
+    budget_rows = np.zeros((used.size, keep.sum()))
+    budget_rows[row_of, np.arange(keep.sum())] = 1.0
+    assert np.array_equal(columns, np.column_stack([owner[keep], eta[keep]]))
+    assert np.array_equal(model.rows, np.vstack([-coeffs[:, keep], budget_rows]))
+    assert np.array_equal(model.rhs, np.concatenate([phi0 - (zs + 0.05), p0.m[used]]))
+    assert np.array_equal(model.objective, cost[keep])
 
 
 def test_build_lp_seed_only():
