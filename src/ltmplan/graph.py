@@ -5,11 +5,15 @@ when at least rho_i of the nodes it points to are in state 1.  Thresholds are
 therefore bounded by the out-degree.  Parallel edges count with multiplicity;
 self-loops are never allowed.
 
-The adjacency is a CSR matrix whose index arrays and data share one integer
-dtype, int32 whenever the node and link counts are below 2**31 and int64
-otherwise (`_index_dtype`).  A node's active count never exceeds its
-out-degree, hence never the link count, so products in that dtype cannot
-overflow.  A cascade from all-zeros reads its first step off the thresholds,
+The adjacency is a CSR matrix.  Its index arrays are int32 whenever the node
+and link counts are below 2**31 and int64 otherwise (`_index_dtype`).  Its
+data and the active counts of a product take the narrowest of int8, int16,
+int32 and int64 that holds the largest out-degree (`_count_dtype`): a node's
+active count never exceeds its out-degree, and neither does a threshold, so
+products and comparisons in that dtype cannot overflow.  In-degrees are
+counted only when read.  A product A x sums to the number of links into
+active nodes, so a cascade reads its link fractions off the products it
+makes.  A cascade from all-zeros reads its first step off the thresholds,
 x(1) = (rho == 0), so every product it makes is a step that can change the
 state.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,26 +35,35 @@ class GraphError(ValueError):
 
 
 def _index_dtype(size: int):
-    """The CSR index and count dtype for a graph whose node and link counts
-    are at most `size`."""
+    """The CSR index dtype for a graph whose node and link counts are at
+    most `size`."""
     return np.int32 if size < 2**31 else np.int64
 
 
-def _degrees(ids: np.ndarray, n: int, end: str) -> np.ndarray:
-    """Per-node counts of the node ids in `ids`, each checked to lie in
-    [0, n): bincount rejects a negative id and returns more than n counts
-    for an id of n or more."""
+def _count_dtype(most: int):
+    """The narrowest integer dtype that holds every count up to `most`, the
+    largest out-degree."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if most <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _out_degrees(tails: np.ndarray, n: int) -> np.ndarray:
+    """Per-node counts of the tail ids, each checked to lie in [0, n):
+    bincount rejects a negative id and returns more than n counts for an id
+    of n or more."""
     try:
-        counts = np.bincount(ids, minlength=n)
+        counts = np.bincount(tails, minlength=n)
     except ValueError:
         counts = None
     except MemoryError:
         # an id far beyond n asks bincount for that many counts
-        if ids.max(initial=0) < n:
+        if tails.max(initial=0) < n:
             raise
         counts = None
     if counts is None or counts.size > n:
-        raise GraphError("%s node id out of range [0, %d)" % (end, n))
+        raise GraphError("tail node id out of range [0, %d)" % n)
     return counts
 
 
@@ -66,15 +80,17 @@ def _own(a) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class MultiGraph:
     """Immutable directed multigraph given by parallel tail/head arrays,
-    with its out- and in-degrees stored read-only.  Two graphs compare
-    equal only when they are the same object.
+    with its out-degrees stored read-only and its in-degrees counted, and
+    frozen, the first time they are read.  Two graphs compare equal only
+    when they are the same object.
 
     A tail or head array that is already read-only, contiguous and int64 is
     shared; any other input is copied, so the graph never freezes or sees
     later writes to its caller's writeable arrays.
 
-    The adjacency's index arrays and data are int32 while n and the link
-    count are below 2**31, else int64; `neighbor_activity` returns its
+    The adjacency's index arrays are int32 while n and the link count are
+    below 2**31, else int64.  Its data take the narrowest integer dtype
+    that holds the largest out-degree, and `neighbor_activity` returns its
     counts in that dtype.
     """
 
@@ -82,7 +98,6 @@ class MultiGraph:
     tails: np.ndarray
     heads: np.ndarray
     out_degrees: np.ndarray = field(init=False, repr=False)
-    in_degrees: np.ndarray = field(init=False, repr=False)
     _adj: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -91,13 +106,13 @@ class MultiGraph:
         tails, heads = _own(self.tails), _own(self.heads)
         if tails.shape != heads.shape or tails.ndim != 1:
             raise GraphError("tails and heads must be 1-D arrays of equal length")
-        out_degrees = _degrees(tails, self.n, "tail")
-        in_degrees = _degrees(heads, self.n, "head")
+        out_degrees = _out_degrees(tails, self.n)
+        if heads.min(initial=0) < 0 or heads.max(initial=0) >= self.n:
+            raise GraphError("head node id out of range [0, %d)" % self.n)
         if np.any(tails == heads):
             bad = int(np.flatnonzero(tails == heads)[0])
             raise GraphError("self-loop at edge %d (node %d)" % (bad, int(tails[bad])))
-        for name, a in (("tails", tails), ("heads", heads),
-                        ("out_degrees", out_degrees), ("in_degrees", in_degrees)):
+        for name, a in (("tails", tails), ("heads", heads), ("out_degrees", out_degrees)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         # row i of the adjacency lists the heads of node i's edges, repeated
@@ -108,10 +123,19 @@ class MultiGraph:
         indptr = np.zeros(self.n + 1, dtype=dtype)
         np.cumsum(out_degrees, dtype=dtype, out=indptr[1:])
         adj = sp.csr_matrix(
-            (np.ones(tails.size, dtype=dtype), by_tail.astype(dtype), indptr),
+            (np.ones(tails.size, dtype=_count_dtype(int(out_degrees.max()))),
+             by_tail.astype(dtype), indptr),
             shape=(self.n, self.n),
         )
         object.__setattr__(self, "_adj", adj)
+
+    @cached_property
+    def in_degrees(self) -> np.ndarray:
+        """Per-node count of incoming links, counted and frozen when first
+        read."""
+        in_degrees = np.bincount(self.heads, minlength=self.n)
+        in_degrees.setflags(write=False)
+        return in_degrees
 
     @property
     def edge_count(self) -> int:
@@ -119,8 +143,9 @@ class MultiGraph:
 
     def neighbor_activity(self, x: np.ndarray) -> np.ndarray:
         """Per-node count of active observed neighbors, with multiplicity, in
-        the adjacency's dtype."""
-        return self._adj @ x.astype(self._adj.dtype)
+        the adjacency's count dtype; x is cast to it only when its dtype
+        differs.  The counts sum to the number of links into active nodes."""
+        return self._adj @ x.astype(self._adj.dtype, copy=False)
 
 
 def _check_state(g: MultiGraph, x) -> np.ndarray:
@@ -171,9 +196,13 @@ def ltm_step(g: MultiGraph, rho: np.ndarray, x: np.ndarray) -> np.ndarray:
 def ltm_trajectory(g: MultiGraph, rho, x0, t_max: int):
     """Iterate the threshold map from x0 for up to t_max steps.
 
-    Returns (states, fixed_point, t_stop) where states = [x(0), ..., x(t_stop)]
-    and fixed_point is True when x(t_stop) maps to itself (detected one step
-    early, so the trajectory is not padded with repeats).
+    Returns (states, fixed_point, t_stop, links) where states = [x(0), ...,
+    x(t_stop)] and fixed_point is True when x(t_stop) maps to itself
+    (detected one step early, so the trajectory is not padded with repeats).
+    links[t] is the number of links into nodes active in x(t), the sum of
+    the product that stepped from x(t), for every state that was multiplied:
+    all of them when fixed_point is True, all but x(t_stop) when t_max cut
+    the run off.
     """
     if t_max < 0:
         raise GraphError("t_max must be >= 0")
@@ -181,20 +210,25 @@ def ltm_trajectory(g: MultiGraph, rho, x0, t_max: int):
     # a threshold is at most its node's out-degree, so it fits the counts' dtype
     rho = check_thresholds(g, rho).astype(g._adj.dtype)
     states = [x]
+    links = []
     fixed = False
     for _ in range(t_max):
-        x_next = (g.neighbor_activity(x) >= rho).view(np.int8)
+        counts = g.neighbor_activity(x)
+        links.append(int(counts.sum(dtype=np.int64)))
+        x_next = (counts >= rho).view(np.int8)
         if np.array_equal(x_next, x):
             fixed = True
             break
         states.append(x_next)
         x = x_next
-    return states, fixed, len(states) - 1
+    return states, fixed, len(states) - 1, links
 
 
 def cascade_fractions(g: MultiGraph, rho):
     """Run the cascade from all-zeros; return per-step (active fraction Y,
-    fraction of links pointing to active nodes Z) and the fixed-point flag."""
+    fraction of links pointing to active nodes Z) and the fixed-point flag.
+
+    Z(t) is read off the product that stepped from x(t); Z(0) = 0."""
     rho = check_thresholds(g, rho)
     zero = np.zeros(g.n, dtype=np.int8)
     # the first step from all-zeros activates exactly the zero thresholds
@@ -202,15 +236,17 @@ def cascade_fractions(g: MultiGraph, rho):
     if first.any():
         # from all-zeros the dynamics are monotone: after x(1), at most n - 1
         # steps change the state and one more confirms the fixed point
-        states, fixed, _ = ltm_trajectory(g, rho, first, g.n)
+        states, fixed, _, links = ltm_trajectory(g, rho, first, g.n)
+        # only a run cut off by t_max leaves its last state unmultiplied
+        links += [int(np.dot(g.in_degrees, x)) for x in states[len(links):]]
         states.insert(0, zero)
+        links.insert(0, 0)
     else:
-        states, fixed = [zero], True
-    delta = g.in_degrees
+        states, fixed, links = [zero], True, [0]
     # a link-free network has Z = 0 throughout
     total_links = float(g.edge_count) or 1.0
     ys = np.array([np.count_nonzero(s) / g.n for s in states])
-    zs = np.array([np.dot(delta, s) / total_links for s in states])
+    zs = np.array(links) / total_links
     return ys, zs, fixed
 
 

@@ -160,12 +160,19 @@ def _highs(model: LpModel, options: dict) -> HighsResult:
             return HighsResult("error", "HiGHS rejected option %s = %r" % (name, value),
                                None, None, 0)
     m, n = model.num_rows, model.num_vars
-    row, col = np.nonzero(model.rows)
-    if h.passModel(n, m, row.size, highs.MatrixFormat.kRowwise,
+    # row-wise arrays from the flat positions of the non-zeros: row i starts
+    # at the first position of at least i n, and the positions become the
+    # columns in place once the values are gathered, and are freed before
+    # HiGHS copies the model
+    flat = np.flatnonzero(model.rows)
+    starts = np.searchsorted(flat, np.arange(0, m * n, n)).astype(np.int32)
+    values = model.rows.ravel()[flat]
+    cols = np.remainder(flat, n, out=flat).astype(np.int32)
+    del flat
+    if h.passModel(n, m, values.size, highs.MatrixFormat.kRowwise,
                    highs.ObjSense.kMinimize, 0.0, model.objective, np.zeros(n),
                    np.full(n, highs.kHighsInf), np.full(m, -highs.kHighsInf), model.rhs,
-                   np.searchsorted(row, np.arange(m)).astype(np.int32),
-                   col.astype(np.int32), model.rows[row, col],
+                   starts, cols, values,
                    np.zeros(n, dtype=np.int32)) == highs.HighsStatus.kError:
         return HighsResult("error", "HiGHS rejected the model", None, None, 0)
     h.run()

@@ -13,9 +13,18 @@ from ltmplan.cli import (EXIT_OK, EXIT_PLAN, EXIT_STATS, EXIT_USAGE,
 DATA = os.path.join(os.path.dirname(__file__), "data", "toy_network.txt")
 
 
-def config_of(path):
+def read_json(path):
     with open(path) as fh:
-        return json.load(fh)["config"]
+        return json.load(fh)
+
+
+def read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def config_of(path):
+    return read_json(path)["config"]
 
 
 def run_stats(tmp_path, extra=()):
@@ -55,7 +64,7 @@ def test_write_json_is_indented_dumps(tmp_path):
 
 def test_stats(tmp_path):
     path = run_stats(tmp_path)
-    doc = json.load(open(path))
+    doc = read_json(path)
     # 4-regular circulant: a single (d, k, r) = (4, 4, 2) type
     assert doc["n"] == 20 and doc["edges"] == 80
     assert doc["num_types"] == 1
@@ -67,7 +76,7 @@ def test_stats(tmp_path):
 def test_plan(tmp_path):
     stats = run_stats(tmp_path)
     plan_path = run_plan(tmp_path, stats)
-    doc = json.load(open(plan_path))
+    doc = read_json(plan_path)
     assert doc["lp"]["status"] == "optimal"
     assert doc["lp"]["configuration"] == "unscaled, no presolve"
     assert doc["cost"] > 0.0
@@ -85,12 +94,12 @@ def test_validate_monte_carlo(tmp_path):
                "--eps", "0.1", "--mc-n", "2000", "--replicates", "2",
                "--seed", "3", "--out", out])
     assert rc == EXIT_OK
-    doc = json.load(open(os.path.join(out, "validate.json")))
+    doc = read_json(os.path.join(out, "validate.json"))
     assert doc["replicates"] == 2
     assert os.path.exists(os.path.join(out, "trajectory_rep000.csv"))
     assert os.path.exists(os.path.join(out, "trajectory_rep001.csv"))
-    header = open(os.path.join(out, "trajectory_rep000.csv")).readline()
-    assert header.strip() == "t,Y,Z,y_recursion,z_recursion"
+    header = read_text(os.path.join(out, "trajectory_rep000.csv")).splitlines()[0]
+    assert header == "t,Y,Z,y_recursion,z_recursion"
 
 
 def test_post_statistics_built_once_per_stage(tmp_path, post_calls):
@@ -119,13 +128,13 @@ def test_validate_realize(tmp_path):
     rc = main(["validate", "--statistics", stats, "--plan", plan_path,
                "--eps", "0.1", "--edges", DATA, "--seed", "4", "--out", out])
     assert rc == EXIT_OK
-    doc = json.load(open(os.path.join(out, "validate.json")))
+    doc = read_json(os.path.join(out, "validate.json"))
     assert doc["mode"] == "realize" and doc["n"] == 20
     assert 0.0 <= doc["final_fraction"] <= 1.0
     assert os.path.exists(os.path.join(out, "trajectory_realized.csv"))
     # realized_cost is per node, like the plan's cost; they differ only by
     # rounding each (type, eta) mass to whole nodes, under one node each
-    plan_doc = json.load(open(plan_path))
+    plan_doc = read_json(plan_path)
     slack = sum(rec["cost"][rec["eta"]] for rec in plan_doc["xi"]) / doc["n"]
     assert plan_doc["cost"] > 0.0
     assert abs(doc["realized_cost"] - plan_doc["cost"]) <= slack
@@ -156,7 +165,7 @@ def test_validate_realize_reads_recipe_from_statistics(tmp_path):
         out = str(tmp_path / ("pick" + seed))
         assert main(["validate", "--statistics", stats, "--plan", plan_path,
                      "--edges", DATA, "--seed", seed, "--out", out]) == EXIT_OK
-        docs.append(json.load(open(os.path.join(out, "validate.json"))))
+        docs.append(read_json(os.path.join(out, "validate.json")))
     assert [doc["seed"] for doc in docs] == [1, 2]
     assert all(doc["mode"] == "realize" and doc["n"] == 20 for doc in docs)
 
@@ -175,7 +184,7 @@ def test_validate_realize_needs_recorded_recipe(tmp_path, capsys, key, value, me
     # None drops the key; any other value replaces it
     stats = run_stats(tmp_path)
     plan_path = run_plan(tmp_path, stats)
-    doc = json.load(open(stats))
+    doc = read_json(stats)
     record = doc if key == "config" else doc["config"]
     if value is None:
         del record[key]
@@ -230,7 +239,7 @@ def test_experiment(tmp_path):
                "--eps", "0.3", "--grid-n", "50", "--delta", "0.05",
                "--seed", "5", "--out", out])
     assert rc == EXIT_OK
-    summary = json.load(open(os.path.join(out, "experiment.json")))
+    summary = read_json(os.path.join(out, "experiment.json"))
     assert summary["instances"] == 2
     assert summary["cost_mean"] >= 0.0
     finals = []
@@ -286,12 +295,12 @@ def test_experiment_preset_applied(tmp_path):
     rc = main(["experiment", "--preset", "powergrid", "--edges", DATA,
                "--seed", "0", "--out", out])
     assert rc == EXIT_OK
-    summary = json.load(open(os.path.join(out, "experiment.json")))
+    summary = read_json(os.path.join(out, "experiment.json"))
     assert summary["preset"] == "powergrid"
     assert summary["eps"] == 0.3 and summary["instances"] == 10
     for inst in range(10):
         path = os.path.join(out, "instance%02d" % inst, "statistics.json")
-        config = json.load(open(path))["config"]
+        config = config_of(path)
         assert config["undirected"] is True
         assert config["threshold_rule"] == "uniform-random"
 
@@ -494,7 +503,7 @@ def test_env_defaults(tmp_path, monkeypatch):
     out = str(tmp_path / "env")
     rc = main(["stats", "--out", out])
     assert rc == EXIT_OK
-    assert json.load(open(os.path.join(out, "statistics.json")))["n"] == 20
+    assert read_json(os.path.join(out, "statistics.json"))["n"] == 20
 
 
 def test_plan_beyond_float_derivative_bound(tmp_path, capsys):
@@ -511,13 +520,13 @@ def test_plan_beyond_float_derivative_bound(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("planner error:") and err.count("\n") == 1
     assert main(common + ["--delta", "0.05"]) == EXIT_OK
-    text = open(os.path.join(out, "plan.json")).read()
+    text = read_text(os.path.join(out, "plan.json"))
     doc = json.loads(text, parse_constant=lambda name: pytest.fail(name))
     assert doc["delta_N"] is None and "empirical" in doc["regime"]
 
 
 def _edited_plan(tmp_path, plan_path, edit):
-    doc = json.load(open(plan_path))
+    doc = read_json(plan_path)
     edit(doc["xi"])
     path = tmp_path / "edited_plan.json"
     path.write_text(json.dumps(doc))
@@ -557,7 +566,7 @@ def test_readme_cli_examples_parse():
     # every `ltmplan ...` command of README.md's sh blocks, continuations
     # joined, parses
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    blocks = re.findall(r"^```sh\n(.*?)^```", open(path).read(), re.M | re.S)
+    blocks = re.findall(r"^```sh\n(.*?)^```", read_text(path), re.M | re.S)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("ltmplan ")]
     assert {argv[0] for argv in commands} == {"stats", "plan", "validate", "experiment"}

@@ -4,10 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import lin
 from ltmplan.graph import (GraphError, MultiGraph, active_fraction,
                            apply_intervention, cascade_fractions, check_target,
                            check_thresholds, ltm_step, ltm_trajectory,
                            parse_edge_list)
+from ltmplan.sampler import sample_configuration_model
+from ltmplan.typestats import AgentType, Statistics
 
 
 def test_degrees_and_no_self_loops(path3):
@@ -106,17 +109,17 @@ def test_step_does_not_mutate_input(path3):
 
 
 def test_trajectory_fixed_point(path3):
-    states, fixed, t = ltm_trajectory(path3, np.array([0, 1, 1]),
-                                      np.zeros(3), 5)
+    states, fixed, t, _ = ltm_trajectory(path3, np.array([0, 1, 1]),
+                                         np.zeros(3), 5)
     assert fixed and t == 3
     assert list(states[-1]) == [1, 1, 1]
 
 
 def test_trajectory_constant_cases(path3):
     kappa = path3.out_degrees
-    states, fixed, t = ltm_trajectory(path3, kappa, np.ones(3), 5)
+    states, fixed, t, _ = ltm_trajectory(path3, kappa, np.ones(3), 5)
     assert fixed and t == 0 and list(states[0]) == [1, 1, 1]
-    states, fixed, t = ltm_trajectory(path3, np.array([1, 1, 1]), np.zeros(3), 5)
+    states, fixed, t, _ = ltm_trajectory(path3, np.array([1, 1, 1]), np.zeros(3), 5)
     assert fixed and t == 0 and states[0].sum() == 0
 
 
@@ -189,7 +192,7 @@ def test_trajectory_from_zero_monotone_and_short():
     for _ in range(20):
         g = _random_graph(rng)
         rho = rng.integers(0, g.out_degrees + 1)
-        states, fixed, t = ltm_trajectory(g, rho, np.zeros(g.n), g.n)
+        states, fixed, t, _ = ltm_trajectory(g, rho, np.zeros(g.n), g.n)
         assert fixed and t <= g.n
         for a, b in zip(states, states[1:]):
             assert np.all(a <= b)
@@ -261,6 +264,75 @@ def test_cascade_multiplies_once_per_step(path3, matvec_calls):
     del matvec_calls[:]
     ys, _, fixed = cascade_fractions(path3, path3.out_degrees)
     assert fixed and ys.tolist() == [0.0] and matvec_calls == []
+
+
+@pytest.mark.parametrize("order", ["unsorted", "sorted"])
+def test_trajectory_links_sum_each_product(order, matvec_calls):
+    # links[t] is in_degrees . x(t) for exactly the states that were
+    # multiplied, in order: all of them at a fixed point, all but the last
+    # after a t_max cut-off, none at t_max = 0
+    rng = np.random.default_rng(83)
+    for n in (4, 11, 50):
+        # parallel edges among the first n - 1 nodes; the last is isolated
+        tails = rng.integers(0, n - 1, 4 * n)
+        heads = (tails + rng.integers(1, n - 1, tails.size)) % (n - 1)
+        if order == "sorted":
+            keep = np.argsort(tails, kind="stable")
+            tails, heads = tails[keep], heads[keep]
+        g = MultiGraph(n, tails, heads)
+        rho = rng.integers(0, g.out_degrees + 1)
+        for x0 in (np.zeros(n), (rng.random(n) < 0.3).astype(np.int8)):
+            for t_max in (n, 1, 0):
+                del matvec_calls[:]
+                states, fixed, t, links = ltm_trajectory(g, rho, x0, t_max)
+                assert len(links) == len(matvec_calls) <= t_max
+                assert len(links) == len(states) - (not fixed)
+                for x, sent, total in zip(states, matvec_calls, links):
+                    assert np.array_equal(x, sent)
+                    assert type(total) is int and total == g.in_degrees @ x
+                if t_max == 0:
+                    assert links == [] and t == 0 and not fixed
+                elif t_max == n and not x0.any():
+                    assert fixed  # from all-zeros, n steps reach the fixed point
+    # cut off after two steps: x(2) was never multiplied
+    g = MultiGraph(3, [0, 1, 1, 2], [1, 0, 2, 1])
+    states, fixed, t, links = ltm_trajectory(g, [0, 1, 1], np.zeros(3), 2)
+    assert not fixed and t == 2 and links == [0, 1]
+    # a link-free graph sums no link
+    g = MultiGraph(3, np.array([], dtype=int), np.array([], dtype=int))
+    states, fixed, t, links = ltm_trajectory(g, np.zeros(3, dtype=int), np.zeros(3), 5)
+    assert fixed and t == 1 and links == [0, 0]
+
+
+@pytest.mark.parametrize("most, dtype", [(127, np.int8), (128, np.int16),
+                                         (32_767, np.int16), (32_768, np.int32)])
+def test_counts_take_the_narrowest_dtype(most, dtype):
+    # node 0 needs every one of its `most` parallel links to node 1 active:
+    # a count one dtype too narrow would wrap below its threshold
+    tails = np.array([0] * most + [1, 2])
+    heads = np.array([1] * most + [2, 0])
+    rho = np.array([most, 0, 1])
+    g = MultiGraph(3, tails, heads)
+    counts = g.neighbor_activity(np.array([0, 1, 0], dtype=np.int8))
+    assert counts.dtype == dtype and counts.tolist() == [most, 0, 0]
+    assert g._adj.indices.dtype == np.int32 and g._adj.indptr.dtype == np.int32
+    ys, zs, fixed = cascade_fractions(g, rho)
+    ref_ys, ref_zs = _dense_cascade(3, tails, heads, rho)
+    assert fixed and np.array_equal(ys, ref_ys) and np.array_equal(zs, ref_zs)
+    assert ys.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+
+
+def test_sampled_cascade_leaves_in_degrees_uncounted():
+    p = Statistics({AgentType(2, 2, 1, lin(1)): 0.5,
+                    AgentType(3, 3, 0, lin(0)): 0.5})
+    g, rho, _, _ = sample_configuration_model(p, 200, seed=3)
+    ys, _, _ = cascade_fractions(g, rho)
+    assert ys[-1] > 0.5
+    assert "in_degrees" not in vars(g)
+    assert np.array_equal(g.in_degrees, np.bincount(g.heads, minlength=g.n))
+    assert g.in_degrees is g.in_degrees
+    with pytest.raises(ValueError, match="read-only"):
+        g.in_degrees[0] = 7
 
 
 def test_parallel_edges_count_with_multiplicity():
