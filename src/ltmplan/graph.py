@@ -5,17 +5,15 @@ when at least rho_i of the nodes it points to are in state 1.  Thresholds are
 therefore bounded by the out-degree.  Parallel edges count with multiplicity;
 self-loops are never allowed.
 
-The adjacency is a CSR matrix.  Its index arrays are int32 whenever the node
-and link counts are below 2**31 and int64 otherwise (`_index_dtype`).  Its
-data and the active counts of a product take the narrowest of int8, int16,
-int32 and int64 that holds the largest out-degree (`_count_dtype`): a node's
-active count never exceeds its out-degree, and neither does a threshold, so
-products and comparisons in that dtype cannot overflow.  In-degrees are
-counted only when read.  A product A x sums to the number of links into
-active nodes, so a cascade reads its link fractions off the products it
-makes.  A cascade from all-zeros reads its first step off the thresholds,
-x(1) = (rho == 0), so every product it makes is a step that can change the
-state.
+The adjacency is a CSR matrix whose index arrays and data share one integer
+dtype, int32 whenever the node and link counts are below 2**31 and int64
+otherwise (`_index_dtype`).  A node's active count never exceeds its
+out-degree, hence never the link count, so products in that dtype cannot
+overflow.  In-degrees are counted only when read.  A product A x sums to
+the number of links into active nodes, so a cascade reads its link
+fractions off the products it makes.  A cascade from all-zeros reads its
+first step off the thresholds, x(1) = (rho == 0), so every product it makes
+is a step that can change the state.
 """
 
 from __future__ import annotations
@@ -35,18 +33,9 @@ class GraphError(ValueError):
 
 
 def _index_dtype(size: int):
-    """The CSR index dtype for a graph whose node and link counts are at
-    most `size`."""
+    """The CSR index and count dtype for a graph whose node and link counts
+    are at most `size`."""
     return np.int32 if size < 2**31 else np.int64
-
-
-def _count_dtype(most: int):
-    """The narrowest integer dtype that holds every count up to `most`, the
-    largest out-degree."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if most <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
 
 
 def _out_degrees(tails: np.ndarray, n: int) -> np.ndarray:
@@ -88,9 +77,8 @@ class MultiGraph:
     shared; any other input is copied, so the graph never freezes or sees
     later writes to its caller's writeable arrays.
 
-    The adjacency's index arrays are int32 while n and the link count are
-    below 2**31, else int64.  Its data take the narrowest integer dtype
-    that holds the largest out-degree, and `neighbor_activity` returns its
+    The adjacency's index arrays and data are int32 while n and the link
+    count are below 2**31, else int64; `neighbor_activity` returns its
     counts in that dtype.
     """
 
@@ -123,8 +111,7 @@ class MultiGraph:
         indptr = np.zeros(self.n + 1, dtype=dtype)
         np.cumsum(out_degrees, dtype=dtype, out=indptr[1:])
         adj = sp.csr_matrix(
-            (np.ones(tails.size, dtype=_count_dtype(int(out_degrees.max()))),
-             by_tail.astype(dtype), indptr),
+            (np.ones(tails.size, dtype=dtype), by_tail.astype(dtype), indptr),
             shape=(self.n, self.n),
         )
         object.__setattr__(self, "_adj", adj)
@@ -142,10 +129,10 @@ class MultiGraph:
         return int(self.tails.size)
 
     def neighbor_activity(self, x: np.ndarray) -> np.ndarray:
-        """Per-node count of active observed neighbors, with multiplicity, in
-        the adjacency's count dtype; x is cast to it only when its dtype
-        differs.  The counts sum to the number of links into active nodes."""
-        return self._adj @ x.astype(self._adj.dtype, copy=False)
+        """Per-node count of active observed neighbors in the 0/1 state x,
+        with multiplicity, in the adjacency's dtype.  The counts sum to the
+        number of links into active nodes."""
+        return self._adj @ x.astype(self._adj.dtype)
 
 
 def _check_state(g: MultiGraph, x) -> np.ndarray:
@@ -235,18 +222,17 @@ def cascade_fractions(g: MultiGraph, rho):
     first = (rho == 0).view(np.int8)
     if first.any():
         # from all-zeros the dynamics are monotone: after x(1), at most n - 1
-        # steps change the state and one more confirms the fixed point
+        # steps change the state and one more confirms the fixed point, so
+        # every state is multiplied within n products
         states, fixed, _, links = ltm_trajectory(g, rho, first, g.n)
-        # only a run cut off by t_max leaves its last state unmultiplied
-        links += [int(np.dot(g.in_degrees, x)) for x in states[len(links):]]
+        assert fixed and len(links) == len(states)
         states.insert(0, zero)
-        links.insert(0, 0)
     else:
-        states, fixed, links = [zero], True, [0]
+        states, fixed, links = [zero], True, []
     # a link-free network has Z = 0 throughout
     total_links = float(g.edge_count) or 1.0
     ys = np.array([np.count_nonzero(s) / g.n for s in states])
-    zs = np.array(links) / total_links
+    zs = np.array([0] + links) / total_links
     return ys, zs, fixed
 
 

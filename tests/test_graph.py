@@ -304,24 +304,6 @@ def test_trajectory_links_sum_each_product(order, matvec_calls):
     assert fixed and t == 1 and links == [0, 0]
 
 
-@pytest.mark.parametrize("most, dtype", [(127, np.int8), (128, np.int16),
-                                         (32_767, np.int16), (32_768, np.int32)])
-def test_counts_take_the_narrowest_dtype(most, dtype):
-    # node 0 needs every one of its `most` parallel links to node 1 active:
-    # a count one dtype too narrow would wrap below its threshold
-    tails = np.array([0] * most + [1, 2])
-    heads = np.array([1] * most + [2, 0])
-    rho = np.array([most, 0, 1])
-    g = MultiGraph(3, tails, heads)
-    counts = g.neighbor_activity(np.array([0, 1, 0], dtype=np.int8))
-    assert counts.dtype == dtype and counts.tolist() == [most, 0, 0]
-    assert g._adj.indices.dtype == np.int32 and g._adj.indptr.dtype == np.int32
-    ys, zs, fixed = cascade_fractions(g, rho)
-    ref_ys, ref_zs = _dense_cascade(3, tails, heads, rho)
-    assert fixed and np.array_equal(ys, ref_ys) and np.array_equal(zs, ref_zs)
-    assert ys.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
-
-
 def test_sampled_cascade_leaves_in_degrees_uncounted():
     p = Statistics({AgentType(2, 2, 1, lin(1)): 0.5,
                     AgentType(3, 3, 0, lin(0)): 0.5})
