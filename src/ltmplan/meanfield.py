@@ -7,15 +7,16 @@ large, goes through the regularized incomplete beta identity
 P[Bin(k, z) >= r] = I_z(r, k - r + 1).  An array z whose triangle of all
 pairs up to the largest k has at most PASCAL_COST entries per value betainc
 would compute instead fills that whole triangle by Pascal's rule and reads
-the pairs off it.  The curves psi and phi are weighted sums of the tail over
-the distinct (k, r) pairs of a type distribution, and each intervention
-coefficient is a difference of two of its values.  An independent summation
-oracle lives in the test suite.
+the pairs off it.  `_Curves` builds every tail table, one column per
+distinct (k, r) pair; psi and phi weigh each type's column by its mass and
+by its link share, and each intervention coefficient is a difference of two
+columns.  An independent summation oracle lives in the test suite.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy import special as sc
@@ -36,8 +37,12 @@ def binom_tail(k, r, z):
 
     Scalar in, scalar out.  Accurate to ~1e-13 relative up to k of order 1e5.
     """
-    out = _tail(_tail_params(k, r), _unit(z))
-    return float(out) if out.ndim == 0 else out
+    return _scalar(_tail(_tail_params(k, r), _unit(z)))
+
+
+def _scalar(values):
+    """A 0-d result as a float: a scalar z gives a scalar curve value."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _tail_params(k, r):
@@ -52,9 +57,9 @@ def _tail_params(k, r):
 
 
 def _unit(z) -> np.ndarray:
-    """z as a float array, checked to lie in [0, 1] up to rounding."""
+    """z as a float array, checked to lie in [0, 1] up to rounding (NaN fails)."""
     z = np.asarray(z, dtype=float)
-    if z.size and (z.min() < -Z_SLACK or z.max() > 1 + Z_SLACK):
+    if z.size and not (z.min() >= -Z_SLACK and z.max() <= 1 + Z_SLACK):
         raise ValueError("z outside [0, 1]")
     return np.clip(z, 0.0, 1.0)
 
@@ -111,57 +116,55 @@ def _distinct_pairs(k: np.ndarray, r: np.ndarray):
     return k[first], r[first], inverse.reshape(-1)
 
 
-def _tail_table(z, *groups):
-    """One tail evaluation at z over the distinct pairs of several groups of
-    (k, r) arrays.  Returns the table, shape z.shape + (distinct pairs,),
-    and for each group the table column of each of its pairs."""
-    ku, ru, inverse = _distinct_pairs(np.concatenate([k for k, _ in groups]),
-                                      np.concatenate([r for _, r in groups]))
-    table = _tail(_tail_params(ku, ru), _grid(z))
-    return table, np.split(inverse, np.cumsum([k.size for k, _ in groups])[:-1])
+def _gather(table, at, weights):
+    """The sum over i of table column at[i] times weights[i].  The gather is
+    C-ordered, so every z shape sums the same terms in the same order."""
+    return _scalar(table.take(at, axis=-1) @ weights)
+
+
+def _link_share(p) -> np.ndarray:
+    """Each type's link share d m / <p, d>: phi's weights."""
+    mean_d = p.moment("d")
+    if not mean_d > 0.0:
+        raise ValueError("degree-weighted map undefined: <p, d> = 0")
+    return p.d * p.m / mean_d
 
 
 class _Curves:
-    """A type distribution collapsed once onto its distinct (k, r) pairs,
-    with mass weights (for psi) and link weights d * mass / <p, d> (for phi).
-    The pairs are checked once, here; each evaluation only computes tails."""
+    """The one builder of a tail table, over the distinct (k, r) pairs of p's
+    types and of further (k, r) groups, checked once; `at[i]` holds group i's
+    columns.  psi and phi weigh p's type columns by mass m and link share."""
 
-    def __init__(self, p):
-        self.k, self.r, inverse = _distinct_pairs(p.k, p.r)
-        self._params = _tail_params(self.k, self.r)
-        self.mass = np.bincount(inverse, p.m)
-        mean_d = p.moment("d")
-        self._link = np.bincount(inverse, p.d * p.m) / mean_d if mean_d > 0.0 else None
+    def __init__(self, p, *groups):
+        ks, rs = zip((p.k, p.r), *groups)
+        k, r, inverse = _distinct_pairs(np.concatenate(ks), np.concatenate(rs))
+        self._params = _tail_params(k, r)
+        self.p = p
+        self.types, *self.at = np.split(inverse, np.cumsum([k.size for k in ks])[:-1])
 
-    @property
+    @cached_property
     def link(self) -> np.ndarray:
-        if self._link is None:
-            raise ValueError("degree-weighted map undefined: <p, d> = 0")
-        return self._link
+        return _link_share(self.p)
 
     def tails(self, z) -> np.ndarray:
         if isinstance(z, float):
             # the bisection and recursion steps: _unit's check and clip in
             # plain Python, which costs far less than on a 0-d array
-            if z < -Z_SLACK or z > 1 + Z_SLACK:
+            if not -Z_SLACK <= z <= 1 + Z_SLACK:
                 raise ValueError("z outside [0, 1]")
             return _tail(self._params, min(max(z, 0.0), 1.0))
         return _tail(self._params, _grid(z))
 
     def psi(self, z):
-        return _scalar_if(self.tails(z) @ self.mass, z)
+        return _gather(self.tails(z), self.types, self.p.m)
 
     def phi(self, z):
-        return _scalar_if(self.tails(z) @ self.link, z)
+        return _gather(self.tails(z), self.types, self.link)
 
     def psi_phi(self, z):
         """Both curves from one tail evaluation."""
         tails = self.tails(z)
-        return _scalar_if(tails @ self.mass, z), _scalar_if(tails @ self.link, z)
-
-
-def _scalar_if(values, z):
-    return float(values) if np.ndim(z) == 0 else values
+        return _gather(tails, self.types, self.p.m), _gather(tails, self.types, self.link)
 
 
 def psi(p, z):
@@ -198,18 +201,18 @@ def lift(p0, d, k, r, eta, z, post=None):
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise ValueError("eta=%d outside 1..r=%d" % (eta[i], r[i]))
-    curves = [_Curves(s) for s in (p0, post) if s is not None]
-    table, (lo, hi, *at) = _tail_table(z, (k, r - eta), (k, r),
-                                       *((c.k, c.r) for c in curves))
-    # a C-ordered gather sums each curve as phi sums its own table
-    phis = [table.take(i, axis=-1) @ c.link for i, c in zip(at, curves)]
-    return (phis[0], _columns(table, lo, hi, d, p0.moment("d")),
-            None if post is None else phis[1])
+    groups = [(k, r - eta), (k, r)] + ([] if post is None else [(post.k, post.r)])
+    curves = _Curves(p0, *groups)
+    table = curves.tails(z)
+    lo, hi, *at = curves.at
+    return (_gather(table, curves.types, curves.link),
+            _columns(table, lo, hi, d, p0.moment("d")),
+            None if post is None else _gather(table, at[0], _link_share(post)))
 
 
 def coeff_a(w, eta: int, z, p0):
     """Coefficient a_{w,eta}(z) of one (type, eta) column; see lift."""
-    return _scalar_if(lift(p0, w.d, w.k, w.r, eta, z)[1][..., 0], z)
+    return _scalar(lift(p0, w.d, w.k, w.r, eta, z)[1][..., 0])
 
 
 def phi_post(xi, z):
@@ -226,7 +229,7 @@ def phi_post(xi, z):
 def phi_decomposed(xi, z):
     """phi of the post-intervention statistics written as the baseline curve
     plus a linear correction in the intervention masses; see phi_post."""
-    return _scalar_if(phi_post(xi, z)[1], z)
+    return _scalar(phi_post(xi, z)[1])
 
 
 def recursion(p):
@@ -237,17 +240,13 @@ def recursion(p):
     below RECURSION_TOL, or after RECURSION_STEPS steps.
     """
     curves = _Curves(p)
-    z = 0.0
-    traj = [(z, 0.0)]
-    converged = False
+    traj = [(0.0, 0.0)]
     for _ in range(RECURSION_STEPS):
-        y_next, z_next = curves.psi_phi(z)
-        traj.append((z_next, y_next))
-        if abs(z_next - z) < RECURSION_TOL:
-            converged = True
-            break
-        z = z_next
-    return traj, converged
+        y, z = curves.psi_phi(traj[-1][0])
+        traj.append((z, y))
+        if abs(z - traj[-2][0]) < RECURSION_TOL:
+            return traj, True
+    return traj, False
 
 
 def derivative_bound(p0) -> float:

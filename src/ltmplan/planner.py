@@ -46,7 +46,7 @@ class PlannerConfig:
             raise PlannerError("grid size N must be >= 1")
         if self.fine_m is not None and self.fine_m < 1:
             raise PlannerError("audit grid size M must be >= 1")
-        if self.delta != "auto" and float(self.delta) <= 0.0:
+        if self.delta != "auto" and not float(self.delta) > 0.0:
             raise PlannerError("Delta must be positive or 'auto'")
         if self.eta_mode not in ("full", "seed-only"):
             raise PlannerError("eta_mode must be 'full' or 'seed-only'")

@@ -402,6 +402,18 @@ def test_exit_code_plan_input_errors(tmp_path, capsys):
         assert path in assert_one_line(capsys, "input error:")
 
 
+def test_plan_nan_delta_is_planner_error(tmp_path, capsys):
+    # --delta nan parses as a float; it is rejected with the other
+    # non-positive margins, before any LP is built or output written
+    stats = run_stats(tmp_path)
+    capsys.readouterr()
+    rc = main(["plan", "--statistics", stats, "--eps", "0.1", "--delta", "nan",
+               "--out", str(tmp_path / "x")])
+    assert rc == EXIT_PLAN
+    assert "Delta must be positive or 'auto'" in assert_one_line(capsys, "planner error:")
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_plan_fine_m_below_one_is_usage_error(tmp_path, capsys):
     # an audit grid of M = 0 would audit z = 0 alone and report its margin
     stats = run_stats(tmp_path)

@@ -244,3 +244,38 @@ def test_no_private_names_across_modules(path):
     others = {os.path.splitext(os.path.basename(p))[0] for p in PACKAGE} - {own}
     with open(path) as fh:
         assert private_references(fh.read(), others) == []
+
+
+def name_users(source: str, name: str):
+    """The dotted scopes (Class.method, function, or "" for the module) in
+    which `source` reads or binds `name` as a plain name."""
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Name) and child.id == name:
+                users.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return users
+
+
+def test_scan_finds_name_users():
+    source = ("def f():\n    g()\nclass C:\n    def m(self):\n"
+              "        return [g(x) for x in h]\n    def n(self):\n        h.g()\n"
+              "k = g\n")
+    assert name_users(source, "g") == {"f", "C.m", ""}
+
+
+def test_one_tail_table_builder():
+    """`meanfield._Curves` is the only builder of a tail table: the one
+    caller of `_distinct_pairs`, and with `binom_tail` the only caller of
+    `_tail_params`, which checks the pairs a table is evaluated at."""
+    with open(os.path.join(ROOT, "src", "ltmplan", "meanfield.py")) as fh:
+        source = fh.read()
+    assert name_users(source, "_distinct_pairs") == {"_Curves.__init__"}
+    assert name_users(source, "_tail_params") == {"_Curves.__init__", "binom_tail"}

@@ -105,7 +105,7 @@ def test_float_tails_match_array_tails():
         for z in [0.0, 1.0, -1e-15, 1 + 1e-15, -0.0, 5e-324, *rng.random(20)]:
             fast, ref = curves.tails(float(z)), curves.tails(np.asarray(z))
             assert fast.shape == ref.shape and np.array_equal(fast, ref), z
-        for z in (-2e-15, 1 + 3e-15, -0.5, 2.0):
+        for z in (-2e-15, 1 + 3e-15, -0.5, 2.0, math.nan):
             with pytest.raises(ValueError, match="outside"):
                 curves.tails(z)
             with pytest.raises(ValueError, match="outside"):
@@ -115,6 +115,14 @@ def test_float_tails_match_array_tails():
 def all_pairs(k_max):
     k = np.repeat(np.arange(k_max + 1), np.arange(1, k_max + 2))
     return k, np.arange(k.size) - k * (k + 1) // 2
+
+
+def tail_table(zs, k, r):
+    """The tail table of _Curves over the pairs (k, r), whose statistics are
+    one type on the first pair, and the table column of each pair."""
+    p = Statistics({AgentType(1, int(k[0]), int(r[0]), lin(int(r[0]))): 1.0})
+    curves = meanfield._Curves(p, (k, r))
+    return curves.tails(zs), curves.at
 
 
 @pytest.fixture
@@ -153,10 +161,10 @@ def test_pascal_and_betainc_tables_agree(monkeypatch, betainc_calls):
     k, r = all_pairs(13)
     pick = rng.choice(k.size, 20, replace=False)
     zs = np.linspace(0.0, 1.0, 1001)
-    pascal, (at,) = meanfield._tail_table(zs, (k[pick], r[pick]))
+    pascal, (at,) = tail_table(zs, k[pick], r[pick])
     assert not betainc_calls
     monkeypatch.setattr(meanfield, "PASCAL_COST", 0)
-    beta, (at_beta,) = meanfield._tail_table(zs, (k[pick], r[pick]))
+    beta, (at_beta,) = tail_table(zs, k[pick], r[pick])
     assert len(betainc_calls) == 1 and np.array_equal(at, at_beta)
     assert np.all(np.abs(pascal - beta) <= 2e-13 * beta)
 
@@ -169,13 +177,47 @@ def test_large_triangle_stays_on_betainc(monkeypatch, betainc_calls):
     monkeypatch.setattr(meanfield, "_pascal", no_triangle)
     k, r = np.array([3320, 3320, 1000, 13]), np.array([1660, 1661, 500, 6])
     zs = np.linspace(0.0, 1.0, 1001)
-    table, (at,) = meanfield._tail_table(zs, (k, r))
+    table, (at,) = tail_table(zs, k, r)
     assert len(betainc_calls) == 1 and table.shape == (1001, 4)
     for j in (1, 500, 999):
         for i in range(4):
             ref = tail_sum(int(k[i]), int(r[i]), zs[j])
             # criterion 1's bound between betainc and the oracle at large k
             assert table[j, at[i]] == pytest.approx(ref, rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("cost", [0, 10**6], ids=["betainc", "pascal"])
+def test_shared_pairs_match_per_type_oracle(monkeypatch, cost):
+    # three types on (4, 2) and two on (6, 1), each with its own d, and a
+    # zero-mass type on (4, 2): each type weighs its own tail, by mass in
+    # psi and by link share d m / <p, d> in phi
+    monkeypatch.setattr(meanfield, "PASCAL_COST", cost)
+    masses = {AgentType(1, 4, 2, lin(2)): 0.2, AgentType(3, 4, 2, lin(2)): 0.15,
+              AgentType(7, 4, 2, lin(2)): 0.1, AgentType(9, 4, 2, lin(2)): 0.0,
+              AgentType(2, 6, 1, lin(1)): 0.25, AgentType(5, 6, 1, lin(1)): 0.2,
+              AgentType(2, 3, 0, (0.0,)): 0.1}
+    p = Statistics(masses)
+    mean_d = math.fsum(w.d * m for w, m in masses.items())
+
+    def psi_ref(z):
+        return math.fsum(m * tail_sum(w.k, w.r, z) for w, m in masses.items())
+
+    def phi_ref(z):
+        return math.fsum(w.d * m * tail_sum(w.k, w.r, z)
+                         for w, m in masses.items()) / mean_d
+
+    zs = np.linspace(0.0, 1.0, 41)
+    for got, ref in ((psi(p, zs), psi_ref), (phi(p, zs), phi_ref)):
+        assert np.abs(got - [ref(z) for z in zs]).max() <= 1e-13
+    for z in zs[1::8].tolist():
+        assert abs(psi(p, z) - psi_ref(z)) <= 1e-13
+        assert abs(phi(p, z) - phi_ref(z)) <= 1e-13
+    # each recursion step reads both curves at the step before it
+    path, _ = recursion(p)
+    assert len(path) > 5
+    for (z, _), (z_next, y_next) in zip(path[:5], path[1:6]):
+        assert abs(z_next - phi_ref(z)) <= 1e-13
+        assert abs(y_next - psi_ref(z)) <= 1e-13
 
 
 def test_coeff_a_worked_example():

@@ -65,6 +65,12 @@ def test_config_validation():
     assert PlannerConfig(eps=0.1, fine_m=77).audit_points == 77
 
 
+def test_config_rejects_nan_delta():
+    # NaN compares false both ways, so it must not pass as positive
+    with pytest.raises(PlannerError, match="Delta must be positive or 'auto'"):
+        PlannerConfig(eps=0.1, delta=math.nan)
+
+
 def test_alpha_eps():
     p = Statistics({AgentType(1, 1, 1, lin(1)): 2 / 3,
                     AgentType(2, 2, 2, lin(2)): 1 / 3})
