@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,7 +36,7 @@ EXIT_VALIDATE = 5
 PRESETS = {
     "epinions": {
         "undirected": True, "threshold_rule": "half-out-degree",
-        "cost_rule": "linear", "eps": 0.1, "grid_n": 100, "delta": 0.05,
+        "cost_rule": "linear", "eps": 0.1, "grid_n": 100, "delta": 0.005,
         "instances": 1,
     },
     "powergrid": {
@@ -70,14 +71,23 @@ def _write_json(path, doc):
         fh.write(json.dumps(doc, indent=2) + "\n")
 
 
+@contextmanager
+def _naming(path):
+    """A ValueError raised inside, a StatsError aside, is reraised as one
+    that names path: what is malformed is the input read from it."""
+    try:
+        yield
+    except StatsError:
+        raise
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from exc
+
+
 def _read_json(path, *keys):
     """The JSON object in path, holding at least `keys`; a malformed one is a
     ValueError naming it."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError("%s: %s" % (path, exc)) from exc
+    with open(path) as fh, _naming(path):
+        doc = json.load(fh)
     missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
     if missing:
         raise ValueError("%s: missing key %r" % (path, missing[0]))
@@ -86,7 +96,8 @@ def _read_json(path, *keys):
 
 def _load_stats_doc(path):
     doc = _read_json(path, "types")
-    return statistics_from_records(doc["types"], n=doc.get("n")), doc
+    with _naming(path):
+        return statistics_from_records(doc["types"], n=doc.get("n")), doc
 
 
 # The settings that, with its edge list, rebuild a network and its thresholds,
@@ -213,7 +224,8 @@ def cmd_validate(args):
     # every input is read and checked before --out is made
     p0, stats_doc = _load_stats_doc(args.statistics)
     plan_doc = _read_json(args.plan, "xi")
-    xi = intervention_from_records(plan_doc["xi"], p0)
+    with _naming(args.plan):
+        xi = intervention_from_records(plan_doc["xi"], p0)
     if args.edges:
         # realize mode: rebuild the network by the recipe --statistics
         # recorded and apply the plan to it; --seed only picks the nodes
@@ -406,7 +418,7 @@ def main(argv=None):
     args = parse_args(argv)
     try:
         return args.func(args)
-    except (*(cls for cls, _ in FAILURE_KINDS), OSError, ValueError, KeyError) as exc:
+    except (*(cls for cls, _ in FAILURE_KINDS), OSError, ValueError) as exc:
         kind = next((name for cls, name in FAILURE_KINDS if isinstance(exc, cls)),
                     "input")
         text = "%s: %s" % (type(exc).__name__, exc) if kind == "input" else str(exc)

@@ -38,24 +38,6 @@ def _index_dtype(size: int):
     return np.int32 if size < 2**31 else np.int64
 
 
-def _out_degrees(tails: np.ndarray, n: int) -> np.ndarray:
-    """Per-node counts of the tail ids, each checked to lie in [0, n):
-    bincount rejects a negative id and returns more than n counts for an id
-    of n or more."""
-    try:
-        counts = np.bincount(tails, minlength=n)
-    except ValueError:
-        counts = None
-    except MemoryError:
-        # an id far beyond n asks bincount for that many counts
-        if tails.max(initial=0) < n:
-            raise
-        counts = None
-    if counts is None or counts.size > n:
-        raise GraphError("tail node id out of range [0, %d)" % n)
-    return counts
-
-
 def _own(a) -> np.ndarray:
     """a as a contiguous int64 array for the graph to freeze: a itself when
     it is read-only already, else a copy, so the caller's writeable array
@@ -94,12 +76,14 @@ class MultiGraph:
         tails, heads = _own(self.tails), _own(self.heads)
         if tails.shape != heads.shape or tails.ndim != 1:
             raise GraphError("tails and heads must be 1-D arrays of equal length")
-        out_degrees = _out_degrees(tails, self.n)
-        if heads.min(initial=0) < 0 or heads.max(initial=0) >= self.n:
-            raise GraphError("head node id out of range [0, %d)" % self.n)
-        if np.any(tails == heads):
-            bad = int(np.flatnonzero(tails == heads)[0])
+        for name, ids in (("tail", tails), ("head", heads)):
+            if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.n:
+                raise GraphError("%s node id out of range [0, %d)" % (name, self.n))
+        loops = tails == heads
+        if loops.any():
+            bad = int(np.argmax(loops))
             raise GraphError("self-loop at edge %d (node %d)" % (bad, int(tails[bad])))
+        out_degrees = np.bincount(tails, minlength=self.n)
         for name, a in (("tails", tails), ("heads", heads), ("out_degrees", out_degrees)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)

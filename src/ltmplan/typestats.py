@@ -99,7 +99,7 @@ class Statistics:
                  for name in ("d", "k", "r")}
         table["m"] = np.array([masses[w] for w in types])
         # the cost tables end to end: type i's starts at _offset[i]
-        table["_offset"] = np.cumsum(table["r"] + 1) - (table["r"] + 1)
+        table["_offset"] = np.cumsum([0] + [len(w.cost) for w in types[:-1]])
         table["_costs"] = np.array([c for w in types for c in w.cost])
         if self.n is not None:
             table["counts"] = np.rint(self.n * table["m"]).astype(np.int64)
@@ -253,10 +253,10 @@ def cost_rule(name: str):
         path = name[5:]
         with open(path) as fh:
             try:
-                table = {(int(rec["d"]), int(rec["k"]), int(rec["r"])): tuple(rec["cost"])
-                         for rec in json.load(fh)}
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError("%s: %s: %s" % (path, type(exc).__name__, exc)) from exc
+                table = {(d, k, r): tuple(cost) for d, k, r, cost
+                         in _read_records(json.load(fh), "d", "k", "r", "cost")}
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (path, exc)) from exc
 
         def lookup(d, k, r):
             try:
@@ -362,6 +362,37 @@ def check_well_posed(n: int, p: Statistics) -> WellPosedReport:
 # ---------------------------------------------------------------------------
 # serialization (JSON shapes shared with the CLI)
 
+# the JSON type of each field of a type record: `type(v) is int` keeps
+# true and 2.0 out of the integer fields
+_NUMBER = (int, float)
+_FIELDS = {"d": (int,), "k": (int,), "r": (int,), "eta": (int,), "mass": _NUMBER,
+           "cost": (list,)}
+
+
+def _read_records(records, *keys):
+    """The values at `keys` of each record of a statistics, intervention or
+    cost-file record list, one tuple per record.  d, k, r and eta must be
+    JSON integers, mass a number and cost a list of numbers; anything else
+    is a ValueError naming the record."""
+    if not isinstance(records, list):
+        raise ValueError("type records must be a list, got %s" % type(records).__name__)
+    rows = []
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError("record %d is not an object" % i)
+        missing = [key for key in keys if key not in rec]
+        if missing:
+            raise ValueError("record %d lacks key %r" % (i, missing[0]))
+        row = tuple(rec[key] for key in keys)
+        for key, value in zip(keys, row):
+            if type(value) not in _FIELDS[key]:
+                raise ValueError("record %d: %s is %s" % (i, key, json.dumps(value)))
+            if key == "cost" and any(type(c) not in _NUMBER for c in value):
+                raise ValueError("record %d: cost is not a list of numbers" % i)
+        rows.append(row)
+    return rows
+
+
 def statistics_to_records(p: Statistics):
     return [{"d": w.d, "k": w.k, "r": w.r, "cost": list(w.cost), "mass": m}
             for w, m in zip(p.types(), p.m.tolist())]
@@ -369,11 +400,11 @@ def statistics_to_records(p: Statistics):
 
 def statistics_from_records(records, n=None):
     masses = {}
-    for rec in records:
-        w = AgentType(int(rec["d"]), int(rec["k"]), int(rec["r"]), tuple(rec["cost"]))
+    for d, k, r, cost, mass in _read_records(records, "d", "k", "r", "cost", "mass"):
+        w = AgentType(d, k, r, tuple(cost))
         if w in masses:
             raise StatsError("duplicate type record for %s" % w.label)
-        masses[w] = float(rec["mass"])
+        masses[w] = float(mass)
     return Statistics(masses, n=n or None)
 
 
@@ -389,5 +420,5 @@ def intervention_from_records(records, p0: Statistics) -> StatIntervention:
     """The intervention on p0 that the records describe; a repeated
     (type, eta) record is rejected, as a repeated type is in statistics."""
     return _from_entries(p0, [
-        ((AgentType(int(rec["d"]), int(rec["k"]), int(rec["r"]), tuple(rec["cost"])),
-          int(rec["eta"])), float(rec["mass"])) for rec in records])
+        ((AgentType(d, k, r, tuple(cost)), eta), float(mass)) for d, k, r, cost, eta, mass
+        in _read_records(records, "d", "k", "r", "cost", "eta", "mass")])

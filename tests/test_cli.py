@@ -305,6 +305,24 @@ def test_experiment_preset_applied(tmp_path):
         assert config["threshold_rule"] == "uniform-random"
 
 
+def test_experiment_preset_epinions_plans_below_alpha_eps(tmp_path):
+    # an Epinions-shaped network, d_min 1 and <d> 13.5: a 28-node clique
+    # with 33 pendant nodes.  alpha_eps = 0.1 / 13.5 is about 0.0074, so
+    # the preset's Delta must lie below it for the LP to be feasible.
+    edges = tmp_path / "epinions_shaped.txt"
+    pairs = [(i, j) for i in range(28) for j in range(i + 1, 28)]
+    pairs += [(i % 28, 28 + i) for i in range(33)]
+    edges.write_text("".join("%d %d\n" % pair for pair in pairs))
+    out = str(tmp_path / "exp")
+    rc = main(["experiment", "--preset", "epinions", "--edges", str(edges),
+               "--seed", "0", "--out", out])
+    assert rc == EXIT_OK
+    summary = read_json(os.path.join(out, "experiment.json"))
+    assert summary["preset"] == "epinions" and summary["delta"] == 0.005
+    stats = read_json(os.path.join(out, "instance00", "statistics.json"))
+    assert stats["d_min"] == 1 and stats["moments"]["d"] == pytest.approx(822 / 61)
+
+
 def test_exit_code_usage(tmp_path):
     rc = main(["stats", "--out", str(tmp_path / "x")])
     assert rc == EXIT_USAGE
@@ -392,11 +410,17 @@ def assert_one_line(capsys, prefix):
 
 
 def test_exit_code_plan_input_errors(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    keyless = tmp_path / "keyless.json"
-    keyless.write_text('{"n": 3}')
-    for path in (str(tmp_path / "missing.json"), str(bad), str(keyless)):
+    # a malformed document or type record is one input error naming its file
+    record = {"d": 1, "k": 1, "r": 0, "cost": [0.0], "mass": 1.0}
+    paths = [str(tmp_path / "missing.json")]
+    for name, text in (("bad", "{not json"), ("keyless", '{"n": 3}'),
+                       ("types_not_list", '{"types": 5}'),
+                       ("cost_not_list", json.dumps({"types": [{**record, "cost": 5}]})),
+                       ("massless", json.dumps({"types": [
+                           {k: v for k, v in record.items() if k != "mass"}]}))):
+        paths.append(str(tmp_path / (name + ".json")))
+        (tmp_path / (name + ".json")).write_text(text)
+    for path in paths:
         rc = main(["plan", "--statistics", path, "--out", str(tmp_path / "x")])
         assert rc == EXIT_PLAN
         assert path in assert_one_line(capsys, "input error:")
@@ -429,7 +453,7 @@ def test_plan_fine_m_below_one_is_usage_error(tmp_path, capsys):
 def test_exit_code_validate_malformed_plan(tmp_path, capsys):
     stats = run_stats(tmp_path)
     bad = tmp_path / "plan.json"
-    for text in ("{not json", '{"cost": 1}'):
+    for text in ("{not json", '{"cost": 1}', '{"xi": [3]}'):
         bad.write_text(text)
         capsys.readouterr()
         rc = main(["validate", "--statistics", stats, "--plan", str(bad),

@@ -24,6 +24,8 @@ def test_degrees_and_no_self_loops(path3):
             (2, [0, 1], [1], "1-D arrays of equal length"),
             (2, [0, 2], [1, 0], "tail node id out of range"),
             (2, [-1, 1], [1, 0], "tail node id out of range"),
+            (2, [2**40, 1], [1, 0], "tail node id out of range"),
+            (2, [2**62, 1], [1, 0], "tail node id out of range"),
             (2, [0, 1], [1, -1], "head node id out of range"),
             (2, [0, 1], [2**40, 0], "head node id out of range"),
             (2, [0, 1], [2**62, 0], "head node id out of range")):

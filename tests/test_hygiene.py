@@ -246,9 +246,9 @@ def test_no_private_names_across_modules(path):
         assert private_references(fh.read(), others) == []
 
 
-def name_users(source: str, name: str):
-    """The dotted scopes (Class.method, function, or "" for the module) in
-    which `source` reads or binds `name` as a plain name."""
+def scopes_where(source: str, match):
+    """The dotted scopes (Class.method, function, or "" for the module) that
+    hold a node of `source` for which match(node) is true."""
     users = set()
 
     def visit(node, scope):
@@ -256,12 +256,17 @@ def name_users(source: str, name: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Name) and child.id == name:
+            if match(child):
                 users.add(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return users
+
+
+def name_users(source: str, name: str):
+    """The scopes in which `source` reads or binds `name` as a plain name."""
+    return scopes_where(source, lambda node: isinstance(node, ast.Name) and node.id == name)
 
 
 def test_scan_finds_name_users():
@@ -279,3 +284,66 @@ def test_one_tail_table_builder():
         source = fh.read()
     assert name_users(source, "_distinct_pairs") == {"_Curves.__init__"}
     assert name_users(source, "_tail_params") == {"_Curves.__init__", "binom_tail"}
+
+
+def catches(source: str, name: str):
+    """Lines of the except clauses of `source` that catch `name`, alone or
+    in a tuple, as a plain name or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(k, ast.Name) and k.id == name
+                   or isinstance(k, ast.Attribute) and k.attr == name for k in kinds):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_scan_finds_caught_exceptions():
+    source = ("try:\n    f()\nexcept (ValueError, MemoryError):\n    pass\n"
+              "except builtins.MemoryError:\n    pass\nexcept Exception:\n"
+              "    raise MemoryError\nexcept:\n    pass\n")
+    assert catches(source, "MemoryError") == [3, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: os.path.relpath(p, ROOT))
+def test_no_memory_error_handlers(path):
+    """No module of the package catches MemoryError: an input is checked
+    by what it holds, not by whether an allocation sized by it fails."""
+    with open(path) as fh:
+        assert catches(fh.read(), "MemoryError") == []
+
+
+def subscript_users(source: str, keys):
+    """The scopes in which `source` subscripts something by a constant
+    among `keys`."""
+    return scopes_where(source, lambda node: isinstance(node, ast.Subscript)
+                        and isinstance(node.slice, ast.Constant) and node.slice.value in keys)
+
+
+RECORD_KEYS = ("d", "k", "r", "cost")
+
+
+def test_scan_finds_subscript_users():
+    source = ("def f(rec):\n    return int(rec['d'])\nclass C:\n    def m(self, recs):\n"
+              "        return [tuple(rec['cost']) for rec in recs]\n"
+              "    def n(self, rec, key):\n        return rec[key], rec['mass'], rec[0]\n"
+              "k = doc['k']\n")
+    assert subscript_users(source, RECORD_KEYS) == {"f", "C.m", ""}
+
+
+def test_one_type_record_reader():
+    """`typestats._read_records` reads every type record, of statistics,
+    interventions and cost files alike, and checks the JSON type of each
+    field it reads.  No other scope of the package subscripts a record's
+    d, k, r or cost, so a new statistics document reads its types through
+    it and gets the same checks."""
+    for path in PACKAGE:
+        with open(path) as fh:
+            source = fh.read()
+        reader = os.path.basename(path) == "typestats.py"
+        assert subscript_users(source, RECORD_KEYS) <= ({"_read_records"} if reader
+                                                         else set()), path
+        if reader:
+            assert name_users(source, "_read_records") == {
+                "cost_rule", "statistics_from_records", "intervention_from_records"}

@@ -201,6 +201,51 @@ def test_cost_rule_file(tmp_path):
         rule(9, 9, 1)
 
 
+def record_readers(tmp_path):
+    """Each reader of type records, as a function of a record list, and a
+    record list it reads: statistics, a null intervention on them, and a
+    cost file."""
+    p0 = Statistics({AgentType(2, 2, 1, (0.0, 1.0)): 1.0})
+    costs = tmp_path / "costs.json"
+
+    def read_cost_file(records):
+        costs.write_text(json.dumps(records))
+        return cost_rule("file:%s" % costs)
+    return [(statistics_from_records, statistics_to_records(p0)),
+            (lambda records: intervention_from_records(records, p0),
+             intervention_to_records(null_intervention(p0))),
+            (read_cost_file, [{"d": 2, "k": 2, "r": 1, "cost": [0.0, 1.0]}])]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d", 2.7), ("r", True), ("cost", "01"), ("eta", 1.9), ("cost", [0, None]),
+], ids=["d 2.7", "r true", 'cost "01"', "eta 1.9", "cost null entry"])
+def test_record_readers_take_integers_and_cost_lists(tmp_path, key, value):
+    # int() and tuple() would read d 2.7 as 2, r true as 1, eta 1.9 as 1 and
+    # the cost "01" as the table (0.0, 1.0)
+    for read, records in record_readers(tmp_path):
+        if key not in records[0]:
+            continue
+        for rec in records:
+            rec[key] = value
+        with pytest.raises(ValueError, match="record 0: %s is" % key) as exc:
+            read(records)
+        assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda records: {"types": records}, "must be a list, got dict"),
+    (lambda records: [3], "record 0 is not an object"),
+    (lambda records: [{k: v for k, v in records[0].items() if k != "k"}],
+     "record 0 lacks key 'k'"),
+], ids=["not a list", "not an object", "lacking k"])
+def test_record_readers_reject_malformed_record_lists(tmp_path, edit, message):
+    for read, records in record_readers(tmp_path):
+        with pytest.raises(ValueError, match=message) as exc:
+            read(edit(records))
+        assert type(exc.value) is ValueError
+
+
 def test_threshold_rules(path3):
     assert list(threshold_rule("half-out-degree")(path3)) == [0, 1, 0]
     draw = threshold_rule("uniform-random", seed=3)
