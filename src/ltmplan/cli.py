@@ -144,7 +144,7 @@ def _write_statistics(path, g, p0, edges, recipe, **extra):
         "k_max": p0.k_max(),
         "moments": {m: p0.moment(m) for m in ("d", "k", "d2", "k2", "dk")},
         "nu": p0.nu(),
-        "num_types": len(p0.support()),
+        "num_types": p0.m.size,
         "config": config,
         "types": statistics_to_records(p0),
     })
@@ -174,7 +174,7 @@ def cmd_stats(args):
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "statistics.json")
     _write_statistics(path, g, p0, args.edges, recipe)
-    print("wrote %s (n=%d, %d types)" % (path, g.n, len(p0.support())))
+    print("wrote %s (n=%d, %d types)" % (path, g.n, p0.m.size))
     return EXIT_OK
 
 

@@ -97,10 +97,9 @@ def _grid_and_margins(p0: Statistics, cfg: PlannerConfig):
 
 
 def _variables(p0: Statistics, eta_mode: str):
-    """(type, eta) columns: every positive-mass type, reductions 1..r_w
-    (seed-only keeps just eta = r_w).  Returns, per column, the code of its
-    type in p0.types(), its eta and its cost."""
-    codes = np.flatnonzero((p0.m > 0.0) & (p0.r > 0))
+    """(type, eta) columns: reductions 1..r_w of every type (seed-only keeps
+    eta = r_w alone).  Per column, its type's code in p0.types(), eta, cost."""
+    codes = np.flatnonzero(p0.r > 0)
     if eta_mode == "full":
         r = p0.r[codes]
         owner = np.repeat(codes, r)
@@ -155,11 +154,10 @@ def solution_to_intervention(p0: Statistics, columns, x) -> StatIntervention:
     x = np.where(x > ROUNDOFF, x, 0.0)
     moved = np.bincount(code, x, minlength=p0.m.size)
     x = x * np.divide(p0.m, moved, out=np.ones(p0.m.size), where=moved > p0.m)[code]
-    support = np.flatnonzero(p0.m > 0.0)
-    rest = p0.m[support] - np.bincount(code, x, minlength=p0.m.size)[support]
+    rest = p0.m - np.bincount(code, x, minlength=p0.m.size)
     rest[rest <= ROUNDOFF] = 0.0
-    return StatIntervention(p0, np.append(code, support),
-                            np.append(eta, 0 * support), np.append(x, rest))
+    return StatIntervention(p0, np.append(code, np.arange(rest.size)),
+                            np.append(eta, np.zeros(rest.size)), np.append(x, rest))
 
 
 @dataclass(frozen=True)

@@ -90,14 +90,6 @@ class SampleInfo:
     predicted_acceptance: float   # exp(-<dk>/<d>), the law of this sampler
 
 
-def _type_counts(p: Statistics, n: int, rng) -> np.ndarray:
-    """Node count per entry of p.types(), rounded over the support only."""
-    support = p.m > 0.0
-    counts = np.zeros(p.m.size, dtype=np.int64)
-    counts[support] = _largest_remainder(n * p.m[support], n, rng)
-    return counts
-
-
 def _expected_loops(p: Statistics) -> float:
     # a uniform pairing joins sum_i d_i k_i / (n <d>) = <dk>/<d> stub pairs
     # of the same node on average, Poisson in the large-n limit; with no
@@ -375,7 +367,7 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
         seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
                                       pool_size=seed.pool_size)
     rng = np.random.default_rng(seed)
-    counts = _type_counts(p, n, rng)
+    counts = _largest_remainder(n * p.m, n, rng)
     report = check_well_posed(n, p)
     if not report.moment_balance or not report.degree_bound:
         raise SamplerError("statistics not realizable on %d nodes: %s" % (n, report))

@@ -70,7 +70,7 @@ class AgentType:
 
 @dataclass(frozen=True, eq=False)
 class Statistics:
-    """Probability distribution over agent types.
+    """Probability distribution over agent types, each of mass > MASS_TOL.
 
     Given n (as when extracted from a graph), `counts` holds the exact node
     count of each type of `types()`, so integrality checks do not drift.
@@ -82,8 +82,6 @@ class Statistics:
 
     def __post_init__(self):
         masses = {w: float(m) for w, m in self.masses.items()}
-        if not masses:
-            raise StatsError("statistics must contain at least one type")
         for w, m in masses.items():
             if not -MASS_TOL <= m < math.inf:
                 raise StatsError("mass %g on type %s is negative or not finite"
@@ -91,6 +89,9 @@ class Statistics:
         total = math.fsum(masses.values())
         if abs(total - 1.0) > 1e-9:
             raise StatsError("type masses sum to %.17g, expected 1" % total)
+        if self.n is not None and self.n < 1:
+            raise StatsError("n must be >= 1, got %r" % (self.n,))
+        masses = {w: m for w, m in masses.items() if m > MASS_TOL}
         object.__setattr__(self, "masses", masses)
         # the type table: sorted types and aligned degree, threshold and
         # mass arrays; a type's code is its index here
@@ -118,8 +119,7 @@ class Statistics:
         """c_w(eta) of the type with the given code; broadcasts over arrays."""
         return self._costs[self._offset[code] + eta]
 
-    def support(self):
-        return [self._types[i] for i in np.flatnonzero(self.m > 0.0)]
+    support = types
 
     def moment(self, which: str) -> float:
         """<p, f> for f in {d, k, d2, k2, dk}."""
@@ -137,19 +137,19 @@ class Statistics:
         return self.moment("dk") / self.moment("d") - 1.0
 
     def d_min(self) -> int:
-        return int(self.d[self.m > 0.0].min())
+        return int(self.d.min())
 
     def d_max(self) -> int:
-        return int(self.d[self.m > 0.0].max())
+        return int(self.d.max())
 
     def k_max(self) -> int:
-        return int(self.k[self.m > 0.0].max())
+        return int(self.k.max())
 
 
 class StatIntervention:
     """Mass moved from each type of `base` down by eta = 0..r_w threshold
     units: aligned read-only arrays `code` (into base.types()), `eta` and
-    `mass`, sorted by (code, eta), without zero masses.  Checked once, here:
+    `mass`, sorted by (code, eta), positive masses only.  Checked once, here:
     per type of the table, the masses over eta sum to its mass in base.
     Everything computed from an intervention reads its base and its
     post-intervention statistics off it: `base` and `post`."""
@@ -168,8 +168,6 @@ class StatIntervention:
                 i = np.flatnonzero(bad)[0]
                 raise StatsError("intervention eta=%d, mass %g on type %s: %s" % (
                     eta[i], mass[i], base.types()[code[i]].label, what))
-        keep = mass != 0.0
-        code, eta, mass = code[keep], eta[keep], mass[keep]
         totals = np.bincount(code, mass, minlength=base.m.size)
         bad = np.flatnonzero(np.abs(totals - base.m) > MASS_TOL)
         if bad.size:
@@ -177,13 +175,15 @@ class StatIntervention:
             raise StatsError("intervention mass %.17g on type %s does not match "
                              "its mass %.17g"
                              % (totals[i], base.types()[i].label, base.m[i]))
+        keep = mass > 0.0
+        code, eta, mass = code[keep], eta[keep], mass[keep]
         for array in (code, eta, mass):
             array.setflags(write=False)
         self.base, self.code, self.eta, self.mass = base, code, eta, mass
 
     def moved(self) -> np.ndarray:
-        """Mask of the entries that move positive mass, eta >= 1."""
-        return (self.eta > 0) & (self.mass > 0.0)
+        """Mask of the entries that move mass, eta >= 1."""
+        return self.eta > 0
 
     @cached_property
     def post(self) -> Statistics:
@@ -224,8 +224,7 @@ def post_statistics(xi: StatIntervention) -> Statistics:
         out[w] = out.get(w, 0.0) - m
         w2 = w.reduced(int(xi.eta[i]))
         out[w2] = out.get(w2, 0.0) + m
-    # drop what cancellation leaves of a type; no mass in (-MASS_TOL, 0) survives
-    return Statistics({w: m for w, m in out.items() if abs(m) > MASS_TOL})
+    return Statistics(out)
 
 
 def intervention_cost(xi: StatIntervention) -> float:
@@ -253,10 +252,18 @@ def cost_rule(name: str):
         path = name[5:]
         with open(path) as fh:
             try:
-                table = {(d, k, r): tuple(cost) for d, k, r, cost
-                         in _read_records(json.load(fh), "d", "k", "r", "cost")}
+                records = _read_records(json.load(fh), "d", "k", "r", "cost")
             except ValueError as exc:
                 raise ValueError("%s: %s" % (path, exc)) from exc
+        table = {}   # each record checked as the type it prices
+        for d, k, r, cost in records:
+            where = "(d=%d, k=%d, r=%d) in %s" % (d, k, r, path)
+            if (d, k, r) in table:
+                raise StatsError("duplicate cost table for %s" % where)
+            try:
+                table[d, k, r] = AgentType(d, k, r, tuple(cost)).cost
+            except StatsError as exc:
+                raise StatsError("cost table for %s: %s" % (where, exc)) from exc
 
         def lookup(d, k, r):
             try:
@@ -355,7 +362,7 @@ def check_well_posed(n: int, p: Statistics) -> WellPosedReport:
     mean_d = p.moment("d")
     mean_k = p.moment("k")
     balance_ok = abs(mean_d - mean_k) <= 1e-12 * max(1.0, mean_d)
-    degree_ok = bool(np.all((p.d + p.k)[p.m > 0.0] <= n * mean_d + 1e-9))
+    degree_ok = bool(np.all(p.d + p.k <= n * mean_d + 1e-9))
     return WellPosedReport(integer_ok, balance_ok, degree_ok)
 
 
@@ -399,13 +406,15 @@ def statistics_to_records(p: Statistics):
 
 
 def statistics_from_records(records, n=None):
+    if n is not None and not (type(n) is int and n >= 1):
+        raise ValueError("n is %s, expected an integer >= 1" % json.dumps(n))
     masses = {}
     for d, k, r, cost, mass in _read_records(records, "d", "k", "r", "cost", "mass"):
         w = AgentType(d, k, r, tuple(cost))
         if w in masses:
             raise StatsError("duplicate type record for %s" % w.label)
         masses[w] = float(mass)
-    return Statistics(masses, n=n or None)
+    return Statistics(masses, n=n)
 
 
 def intervention_to_records(xi: StatIntervention):

@@ -33,7 +33,7 @@ def random_statistics(rng, max_types=6, k_max=8, d_equals_k=False, d_min=1):
 def random_intervention(rng, p0):
     """Random valid intervention: per type, a Dirichlet split over 0..r."""
     masses = {}
-    for w in p0.support():
+    for w in p0.types():
         split = rng.dirichlet(np.ones(w.r + 1)) * p0.masses[w]
         for eta, m in enumerate(split):
             masses[(w, eta)] = float(m)

@@ -359,13 +359,18 @@ def test_file_threshold_above_out_degree_is_named_before_costs(tmp_path, capsys)
         capsys, "graph error:")
 
 
-@pytest.mark.parametrize("thresholds, costs, culprit", [
-    ("", CYCLE_COSTS, "rho.txt"),
-    ("2.5\n0\n0\n", CYCLE_COSTS, "rho.txt"),
-    ("0\n0\n0\n", [{"d": 1}], "costs.json"),
-], ids=["empty thresholds", "fractional threshold", "cost record without k"])
+@pytest.mark.parametrize("thresholds, costs, culprit, named", [
+    ("", CYCLE_COSTS, "rho.txt", ""),
+    ("2.5\n0\n0\n", CYCLE_COSTS, "rho.txt", ""),
+    ("0\n0\n0\n", [{"d": 1}], "costs.json", ""),
+    ("1\n1\n1\n", CYCLE_COSTS + [{"d": 1, "k": 1, "r": 1, "cost": [0, 9]}],
+     "costs.json", "statistics error: duplicate cost table for (d=1, k=1, r=1)"),
+    ("1\n1\n1\n", [{"d": 1, "k": 1, "r": 1, "cost": [1, 2]}], "costs.json",
+     "statistics error: cost table for (d=1, k=1, r=1)"),
+], ids=["empty thresholds", "fractional threshold", "cost record without k",
+        "repeated cost record", "cost record rejected by its type"])
 def test_malformed_rule_file_fails_in_one_line_naming_it(tmp_path, capsys, thresholds,
-                                                         costs, culprit):
+                                                         costs, culprit, named):
     argv = cycle_stats_argv(tmp_path, thresholds, costs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -373,6 +378,7 @@ def test_malformed_rule_file_fails_in_one_line_naming_it(tmp_path, capsys, thres
     assert rc == EXIT_STATS
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(tmp_path / culprit) in err, err
+    assert err.startswith(named), err
 
 
 def test_cost_file_lacking_a_type_names_file_and_type(tmp_path, capsys):
@@ -381,6 +387,26 @@ def test_cost_file_lacking_a_type_names_file_and_type(tmp_path, capsys):
     assert main(argv) == EXIT_STATS
     err = assert_one_line(capsys, "statistics error:")
     assert str(tmp_path / "costs.json") in err and "(d=1, k=1, r=1)" in err, err
+
+
+def test_validate_realize_ignores_zero_mass_record(tmp_path):
+    # a type record of mass 0 is no type of the statistics: planning and
+    # realizing from the document give what they give without it
+    stats = run_stats(tmp_path)
+    doc = read_json(stats)
+    d = max(rec["d"] for rec in doc["types"]) + 1
+    doc["types"].append({"d": d, "k": d, "r": 1, "cost": [0.0, 1.0], "mass": 0.0})
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    reports = []
+    for name, path in (("plain", stats), ("edited", str(edited))):
+        plan_path = run_plan(tmp_path / name, path)
+        out = str(tmp_path / name / "realized")
+        assert main(["validate", "--statistics", path, "--plan", plan_path,
+                     "--eps", "0.1", "--edges", DATA, "--seed", "4",
+                     "--out", out]) == EXIT_OK
+        reports.append(read_text(os.path.join(out, "validate.json")))
+    assert reports[0] == reports[1]
 
 
 def test_exit_code_plan_error(tmp_path):
@@ -417,7 +443,10 @@ def test_exit_code_plan_input_errors(tmp_path, capsys):
                        ("types_not_list", '{"types": 5}'),
                        ("cost_not_list", json.dumps({"types": [{**record, "cost": 5}]})),
                        ("massless", json.dumps({"types": [
-                           {k: v for k, v in record.items() if k != "mass"}]}))):
+                           {k: v for k, v in record.items() if k != "mass"}]})),
+                       # n is absent, null or a JSON integer >= 1
+                       *(("n_%d" % i, json.dumps({"n": n, "types": [record]}))
+                         for i, n in enumerate(["abc", 2.5, 0, -3, True]))):
         paths.append(str(tmp_path / (name + ".json")))
         (tmp_path / (name + ".json")).write_text(text)
     for path in paths:

@@ -347,3 +347,39 @@ def test_one_type_record_reader():
         if reader:
             assert name_users(source, "_read_records") == {
                 "cost_rule", "statistics_from_records", "intervention_from_records"}
+
+
+def mass_comparisons(source: str):
+    """Lines of `source` that compare an attribute named m or mass with a
+    number literal, as `p.m > 0.0` or `-1e-12 <= xi.mass` do."""
+    def mass(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("m", "mass")
+
+    def number(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(mass(a) and number(b) or number(a) and mass(b)
+                   for a, b in zip(operands, operands[1:])):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_mass_comparisons():
+    source = ("keep = p.m > 0.0\nx = (self.mass > 0) & y\nok = 0 < q.m <= 1\n"
+              "low = -1e-12 <= p.m\nm > 0.0\np.m > TOL\np.d > 0\np.mass.sum() > 0\n")
+    assert mass_comparisons(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: os.path.relpath(p, ROOT))
+def test_no_mass_filters(path):
+    """No module of the package tests a stored mass against a number:
+    `Statistics` and `StatIntervention` keep positive masses only, so a
+    reader has nothing left to filter."""
+    with open(path) as fh:
+        assert mass_comparisons(fh.read()) == []

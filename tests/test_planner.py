@@ -262,7 +262,7 @@ def test_build_lp_columns_match_coeff_a():
         n_rows = cfg.grid_n + 1
         assert np.array_equal(model.rhs[:n_rows],
                               -(zs + 0.05 - meanfield.phi(p0, zs)))
-        pruned += sum(w.r for w in p0.support()) - len(columns)
+        pruned += sum(w.r for w in p0.types()) - len(columns)
         for i, (code, eta) in enumerate(columns):
             w = p0.types()[code]
             assert np.max(np.abs(-model.rows[:n_rows, i]

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import lin, random_intervention, random_statistics
 from ltmplan.graph import MultiGraph
+from ltmplan.meanfield import phi, psi
 from ltmplan.typestats import (AgentType, StatIntervention, Statistics,
                                StatsError, check_well_posed, cost_rule,
                                extract_statistics, intervention_cost,
@@ -42,6 +43,27 @@ def test_statistics_validation():
         Statistics({})
     with pytest.raises(StatsError):
         Statistics({w: float("nan")})
+
+
+def test_statistics_hold_only_positive_masses():
+    # a type of mass within MASS_TOL of 0, either side, is round-off: it is
+    # dropped where the table is built, so no reader sees it
+    w = AgentType(1, 1, 0, (0.0,))
+    for rest in ({AgentType(0, 5, 0, (0.0,)): 0.0, AgentType(3, 3, 1, lin(1)): -5e-13},
+                 {AgentType(3, 3, 1, lin(1)): 5e-13}):
+        p = Statistics({w: 1.0, **rest})
+        assert p.types() == p.support() == [w]
+        assert p.m.tolist() == [1.0] and p.masses == {w: 1.0}
+        assert (p.d_min(), p.d_max(), p.k_max()) == (1, 1, 1)
+        # (1, 1, 0) is always active, so both curves are exactly 1
+        assert psi(p, 0.5) == 1.0 and phi(p, 0.5) == 1.0
+
+
+def test_statistics_reject_n_below_one():
+    w = AgentType(1, 1, 0, (0.0,))
+    for n in (0, -3):
+        with pytest.raises(StatsError, match="n must be >= 1"):
+            Statistics({w: 1.0}, n=n)
 
 
 def test_type_table():
@@ -169,6 +191,17 @@ def test_post_statistics_rejects_inconsistent_intervention():
     # conservation is checked once, when the intervention is built
     with pytest.raises(StatsError, match="does not match"):
         StatIntervention.from_masses(p0, {(w, 0): 0.5, (w, 2): 0.3})
+
+
+def test_intervention_holds_only_positive_masses():
+    # conservation is checked over every entry; then only positive ones stay
+    w = AgentType(2, 2, 1, lin(1))
+    p0 = Statistics({w: 1.0})
+    xi = StatIntervention(p0, [0, 0], [0, 1], [1.0, -5e-13])
+    assert (xi.code.tolist(), xi.eta.tolist(), xi.mass.tolist()) == ([0], [0], [1.0])
+    assert not xi.moved().any()
+    with pytest.raises(StatsError, match="does not match"):
+        StatIntervention(p0, [0, 0], [0, 1], [0.5, 0.0])
 
 
 def test_intervention_cost():
