@@ -20,6 +20,5 @@ from .meanfield import (binom_tail, psi, phi, coeff_a, phi_decomposed,
 from .lp import LpModel, LpSolution, solve, check_solution
 from .planner import (PlannerConfig, PlanResult, alpha_eps, delta_n, build_lp,
                       plan, audit_original, audit_relaxed, PlannerError)
-from .sampler import (round_intervention, sample_configuration_model,
-                      realize_intervention, monte_carlo_validate, McReport,
-                      SamplerError)
+from .sampler import (sample_configuration_model, realize_intervention,
+                      monte_carlo_validate, McReport, SamplerError)

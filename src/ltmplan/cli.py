@@ -73,14 +73,14 @@ def _write_json(path, doc):
 
 @contextmanager
 def _naming(path):
-    """A ValueError raised inside, a StatsError aside, is reraised as one
-    that names path: what is malformed is the input read from it."""
+    """A ValueError raised inside is reraised naming path, a StatsError as
+    a StatsError so that its kind stays: what is malformed is the input
+    read from it."""
     try:
         yield
-    except StatsError:
-        raise
     except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from exc
+        kind = StatsError if isinstance(exc, StatsError) else ValueError
+        raise kind("%s: %s" % (path, exc)) from exc
 
 
 def _read_json(path, *keys):

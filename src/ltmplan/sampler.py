@@ -40,47 +40,33 @@ class SamplerError(RuntimeError):
     pass
 
 
-def _largest_remainder(targets, total: int, rng) -> np.ndarray:
-    """Integer counts summing to total, floor + largest remainder; exact
-    remainder ties broken by a seeded shuffle so runs are reproducible."""
+def _largest_remainder(targets, group, totals, rng) -> np.ndarray:
+    """Whole counts near targets summing to totals[g] over each group g:
+    the floors, then one unit to the largest remainders of each short group
+    (exact ties broken by a seeded jitter, drawn for short groups' entries
+    in entry order) or one off the smallest among positive counts of a
+    group that float noise puts over its total."""
     targets = np.asarray(targets, dtype=float)
+    group = np.asarray(group)
     # a target within round-off of an integer is that integer: LP round-off
     # such as 16.999999999996742 for 17 nodes must not draw a leftover unit
     nearest = np.round(targets)
     near = np.abs(targets - nearest) <= 1e-9 * np.maximum(1.0, nearest)
     targets = np.where(near, nearest, targets)
-    floors = np.floor(targets).astype(np.int64)
-    leftover = total - int(floors.sum())
-    if leftover < 0:
-        # tolerate tiny overshoot from float noise
-        order = np.argsort(targets - floors)
-        for idx in order:
-            if leftover == 0:
-                break
-            if floors[idx] > 0:
-                floors[idx] -= 1
-                leftover += 1
-    if leftover > 0:
-        remainders = targets - floors
-        jitter = rng.random(targets.size) * 1e-9
-        order = np.argsort(-(remainders + jitter), kind="stable")
-        for idx in order[:leftover]:
-            floors[idx] += 1
-    return floors
-
-
-def round_intervention(xi: StatIntervention, n: int, seed=None) -> np.ndarray:
-    """Integer node counts per entry of xi summing per type to round(n * p_w).
-
-    Idempotent when all n * xi_w(eta) are already integers.
-    """
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(xi.code.size, dtype=np.int64)
-    # entries are sorted by type code: each type is one run of them
-    for run in np.split(np.arange(xi.code.size), np.flatnonzero(np.diff(xi.code)) + 1):
-        masses = xi.mass[run]
-        total = int(round(n * float(masses.sum())))
-        counts[run] = _largest_remainder(n * masses, total, rng)
+    counts = np.floor(targets).astype(np.int64)
+    leftover = (np.asarray(totals) - np.bincount(group, counts, len(totals)))[group]
+    leftover = leftover.astype(np.int64)
+    # rank the entries that may move within their group: remainders from the
+    # largest of a short group, from the smallest of an overshooting one
+    pick = np.flatnonzero((leftover > 0) | ((leftover < 0) & (counts > 0)))
+    key = targets[pick] - counts[pick]
+    short = leftover[pick] > 0
+    key[short] = -(key[short] + rng.random(np.count_nonzero(short)) * 1e-9)
+    order = pick[np.lexsort((key, group[pick]))]
+    ranked = group[order]
+    take = order[np.arange(order.size) - np.searchsorted(ranked, ranked)
+                 < np.abs(leftover[order])]
+    counts[take] += np.sign(leftover[take])
     return counts
 
 
@@ -367,7 +353,7 @@ def sample_configuration_model(p: Statistics, n: int, seed=None,
         seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
                                       pool_size=seed.pool_size)
     rng = np.random.default_rng(seed)
-    counts = _largest_remainder(n * p.m, n, rng)
+    counts = _largest_remainder(n * p.m, np.zeros(p.m.size, dtype=np.int64), [n], rng)
     report = check_well_posed(n, p)
     if not report.moment_balance or not report.degree_bound:
         raise SamplerError("statistics not realizable on %d nodes: %s" % (n, report))
@@ -402,25 +388,30 @@ def realize_intervention(type_of, rho, xi: StatIntervention,
     """Turn a statistical intervention into per-node threshold reductions on a
     concrete network whose node i has type xi.base.types()[type_of[i]].
 
-    xi is rounded to node counts per entry on len(type_of) nodes, and each
-    type's counts must add up to its node count on the network: a network
-    with more or fewer nodes of a type is not one xi was planned for.  The
-    nodes are shuffled once and stably sorted by type, so each type's nodes
-    form one run in uniform random order, and the entries' reductions are
-    dealt onto them in (type, eta) order.  Returns the per-node reductions h.
+    Each type's node count on the network must be its mass rounded on
+    len(type_of) nodes: a network with more or fewer nodes of a type is not
+    one xi was planned for.  Each type's nodes are dealt to its entries by
+    their shares of its mass.  The nodes are shuffled once and stably sorted
+    by type, so each type's nodes form one run in uniform random order, and
+    the entries' reductions are dealt onto them in (type, eta) order.
+    Returns the per-node reductions h.
     """
     rng = np.random.default_rng(seed)
     type_of = np.asarray(type_of)
-    counts = round_intervention(xi, type_of.size, seed=rng)
-    types = xi.base.types()
-    have = np.bincount(type_of, minlength=len(types))
-    want = np.bincount(xi.code, counts, minlength=have.size).astype(np.int64)
+    types, m = xi.base.types(), xi.base.m
+    if type_of.min(initial=0) < 0 or type_of.max(initial=0) >= m.size:
+        raise SamplerError("type codes must lie in 0..%d, got %d..%d"
+                           % (m.size - 1, type_of.min(), type_of.max()))
+    have = np.bincount(type_of, minlength=m.size)
+    want = np.rint(type_of.size * m).astype(np.int64)
     for bad, text in ((want > have, "asks for %d nodes of type %s, only %d available"),
                       (want < have, "places %d nodes of type %s, the network has %d")):
         if bad.any():
             code = np.flatnonzero(bad)[0]
             raise SamplerError("intervention " + text
                                % (want[code], types[code].label, have[code]))
+    counts = _largest_remainder(have[xi.code] * (xi.mass / m[xi.code]), xi.code,
+                                have, rng)
     order = rng.permutation(type_of.size)
     h = np.empty(type_of.size, dtype=np.int64)
     h[order[np.argsort(type_of[order], kind="stable")]] = np.repeat(xi.eta, counts)

@@ -234,6 +234,16 @@ def intervention_cost(xi: StatIntervention) -> float:
 # ---------------------------------------------------------------------------
 # cost and threshold rules
 
+def _record_type(d, k, r, cost, where="") -> AgentType:
+    """The type a record describes; a table it rejects is a StatsError
+    naming the record's (d, k, r) and `where` it was read."""
+    try:
+        return AgentType(d, k, r, tuple(cost))
+    except StatsError as exc:
+        raise StatsError("cost table for (d=%d, k=%d, r=%d)%s: %s"
+                         % (d, k, r, where, exc)) from exc
+
+
 def cost_rule(name: str):
     """Preset cost-table builders mapping (d, k, r) -> tuple c(0..r).
 
@@ -257,13 +267,10 @@ def cost_rule(name: str):
                 raise ValueError("%s: %s" % (path, exc)) from exc
         table = {}   # each record checked as the type it prices
         for d, k, r, cost in records:
-            where = "(d=%d, k=%d, r=%d) in %s" % (d, k, r, path)
             if (d, k, r) in table:
-                raise StatsError("duplicate cost table for %s" % where)
-            try:
-                table[d, k, r] = AgentType(d, k, r, tuple(cost)).cost
-            except StatsError as exc:
-                raise StatsError("cost table for %s: %s" % (where, exc)) from exc
+                raise StatsError("duplicate cost table for (d=%d, k=%d, r=%d) in %s"
+                                 % (d, k, r, path))
+            table[d, k, r] = _record_type(d, k, r, cost, " in " + path).cost
 
         def lookup(d, k, r):
             try:
@@ -410,7 +417,7 @@ def statistics_from_records(records, n=None):
         raise ValueError("n is %s, expected an integer >= 1" % json.dumps(n))
     masses = {}
     for d, k, r, cost, mass in _read_records(records, "d", "k", "r", "cost", "mass"):
-        w = AgentType(d, k, r, tuple(cost))
+        w = _record_type(d, k, r, cost)
         if w in masses:
             raise StatsError("duplicate type record for %s" % w.label)
         masses[w] = float(mass)
@@ -429,5 +436,5 @@ def intervention_from_records(records, p0: Statistics) -> StatIntervention:
     """The intervention on p0 that the records describe; a repeated
     (type, eta) record is rejected, as a repeated type is in statistics."""
     return _from_entries(p0, [
-        ((AgentType(d, k, r, tuple(cost)), eta), float(mass)) for d, k, r, cost, eta, mass
+        ((_record_type(d, k, r, cost), eta), float(mass)) for d, k, r, cost, eta, mass
         in _read_records(records, "d", "k", "r", "cost", "eta", "mass")])

@@ -606,25 +606,52 @@ def test_validate_checks_plan_masses_at_load(tmp_path, capsys):
 
     def nudge(xi):
         xi[0]["mass"] += 1e-10
+    edited = _edited_plan(tmp_path, plan_path, nudge)
     capsys.readouterr()
-    rc = main(["validate", "--statistics", stats,
-               "--plan", _edited_plan(tmp_path, plan_path, nudge),
+    rc = main(["validate", "--statistics", stats, "--plan", edited,
                "--out", str(tmp_path / "x")])
     assert rc == EXIT_VALIDATE
     err = assert_one_line(capsys, "statistics error:")
-    assert "does not match" in err and "(d=4, k=4, r=2)" in err
+    assert "does not match" in err and "(d=4, k=4, r=2)" in err and edited in err
     assert not os.path.exists(tmp_path / "x")    # failed before any output
 
 
 def test_validate_rejects_duplicate_plan_record(tmp_path, capsys):
     stats = run_stats(tmp_path)
     plan_path = run_plan(tmp_path, stats)
+    edited = _edited_plan(tmp_path, plan_path, lambda xi: xi.append(xi[0]))
     capsys.readouterr()
-    rc = main(["validate", "--statistics", stats,
-               "--plan", _edited_plan(tmp_path, plan_path, lambda xi: xi.append(xi[0])),
+    rc = main(["validate", "--statistics", stats, "--plan", edited,
                "--out", str(tmp_path / "x")])
     assert rc == EXIT_VALIDATE
-    assert "duplicate" in assert_one_line(capsys, "statistics error:")
+    err = assert_one_line(capsys, "statistics error:")
+    assert "duplicate" in err and edited in err
+
+
+ONE_TYPE = {"d": 1, "k": 1, "r": 1, "cost": [0.0, 1.0], "mass": 1.0}
+
+
+@pytest.mark.parametrize("stats_type, plan_record, rc, culprit, label", [
+    (dict(ONE_TYPE, cost=[1, 2]), None, EXIT_PLAN, "statistics.json", "(d=1, k=1, r=1)"),
+    (ONE_TYPE, dict(ONE_TYPE, cost=[0, 2, 3], eta=0), EXIT_VALIDATE, "plan.json",
+     "(d=1, k=1, r=1)"),
+    (ONE_TYPE, dict(ONE_TYPE, d=2, k=2, eta=0), EXIT_VALIDATE, "plan.json",
+     "(d=2, k=2, r=1)"),
+], ids=["statistics cost rejected by its type", "plan cost rejected by its type",
+        "plan type absent from the statistics"])
+def test_statistics_errors_name_file_and_type(tmp_path, capsys, stats_type, plan_record,
+                                              rc, culprit, label):
+    stats, plan = tmp_path / "statistics.json", tmp_path / "plan.json"
+    stats.write_text(json.dumps({"types": [stats_type]}))
+    out = str(tmp_path / "out")
+    if plan_record is None:
+        argv = ["plan", "--statistics", str(stats), "--eps", "0.1", "--out", out]
+    else:
+        plan.write_text(json.dumps({"xi": [plan_record]}))
+        argv = ["validate", "--statistics", str(stats), "--plan", str(plan), "--out", out]
+    assert main(argv) == rc
+    err = assert_one_line(capsys, "statistics error:")
+    assert str(tmp_path / culprit) in err and label in err, err
 
 
 def test_readme_cli_examples_parse():

@@ -286,6 +286,40 @@ def test_one_tail_table_builder():
     assert name_users(source, "_tail_params") == {"_Curves.__init__", "binom_tail"}
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def looped_calls(source: str, name: str):
+    """The scopes in which `source` calls `name` inside a for or while loop
+    or a comprehension."""
+    def calls(node):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == name for n in ast.walk(node))
+    return scopes_where(source, lambda node: isinstance(node, LOOPS) and calls(node))
+
+
+def test_scan_finds_looped_calls():
+    source = ("def a(xs):\n    for x in xs:\n        if x:\n            f(x)\n"
+              "def b(xs):\n    return [f(x) for x in xs]\n"
+              "def c(x):\n    while x:\n        x = g(f)\n"
+              "def d(xs):\n    return sum(f(x) for x in xs)\n"
+              "def e(x):\n    y = f(x)\n    for z in y:\n        g(z)\n")
+    assert looped_calls(source, "f") == {"a", "b", "d"}
+    assert name_users(source, "f") == {"a", "b", "c", "d", "e"}
+
+
+def test_one_rounding_rule():
+    """`sampler._largest_remainder` is the one rounding of masses to whole
+    nodes: only sampled networks and realized plans call it, for every
+    type at once, and not from a loop."""
+    with open(os.path.join(ROOT, "src", "ltmplan", "sampler.py")) as fh:
+        source = fh.read()
+    assert name_users(source, "_largest_remainder") == {
+        "sample_configuration_model", "realize_intervention"}
+    assert looped_calls(source, "_largest_remainder") == set()
+
+
 def catches(source: str, name: str):
     """Lines of the except clauses of `source` that catch `name`, alone or
     in a tuple, as a plain name or as an attribute."""

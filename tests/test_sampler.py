@@ -12,50 +12,133 @@ from ltmplan import sampler
 from ltmplan.graph import cascade_fractions
 from ltmplan.sampler import (SamplerError, _largest_remainder,
                              monte_carlo_validate, realize_intervention,
-                             round_intervention, sample_configuration_model,
-                             trajectory_table)
+                             sample_configuration_model, trajectory_table)
 from ltmplan.typestats import (AgentType, StatIntervention, Statistics,
                                null_intervention)
 
 
 def test_largest_remainder_exact_integers():
     rng = np.random.default_rng(51)
-    out = _largest_remainder([3.0, 5.0, 2.0], 10, rng)
+    out = _largest_remainder([3.0, 5.0, 2.0], [0, 0, 0], [10], rng)
     assert list(out) == [3, 5, 2]
 
 
 def test_largest_remainder_sums_and_ranking():
     rng = np.random.default_rng(52)
-    out = _largest_remainder([2.7, 4.1, 3.2], 10, rng)
+    out = _largest_remainder([2.7, 4.1, 3.2], [0, 0, 0], [10], rng)
     assert out.sum() == 10
     # the largest remainder (0.7) gets the leftover unit
     assert list(out) == [3, 4, 3]
-    out = _largest_remainder([0.5, 0.5], 1, rng)
+    out = _largest_remainder([0.5, 0.5], [0, 0], [1], rng)
     assert out.sum() == 1
 
 
 def test_largest_remainder_handles_overshoot():
     rng = np.random.default_rng(53)
-    out = _largest_remainder([2.0, 3.0], 4, rng)
+    out = _largest_remainder([2.0, 3.0], [0, 0], [4], rng)
     assert out.sum() == 4 and np.all(out >= 0)
 
 
-def test_round_intervention_exact_case():
+def test_largest_remainder_plan_exact_case():
     w = AgentType(3, 3, 2, lin(2))
     xi = StatIntervention.from_masses(Statistics({w: 1.0}), {(w, 0): 0.7, (w, 1): 0.3})
-    counts = round_intervention(xi, 10, seed=1)
+    counts = _largest_remainder(10 * xi.mass, xi.code, [10], np.random.default_rng(1))
     assert counts.tolist() == [7, 3]      # aligned with the entries (w, 0), (w, 1)
 
 
-def test_round_intervention_per_type_totals():
+def test_largest_remainder_plan_per_type_totals():
     w1 = AgentType(2, 2, 1, lin(1))
     w2 = AgentType(3, 3, 2, lin(2))
     p = Statistics({w1: 0.6, w2: 0.4})
     xi = StatIntervention.from_masses(p, {(w1, 0): 0.33, (w1, 1): 0.27,
                                           (w2, 0): 0.15, (w2, 2): 0.25})
-    counts = round_intervention(xi, 100, seed=2)
+    counts = _largest_remainder(100 * xi.mass, xi.code, np.rint(100 * p.m),
+                                np.random.default_rng(2))
     assert counts[xi.code == 0].sum() == 60
     assert counts[xi.code == 1].sum() == 40
+
+
+def _one_group_rounding(targets, total, rng):
+    """The rounding of one group as it was before groups were rounded in
+    one call: the reference rule of the grouped `_largest_remainder`.  Its
+    overshoot branch sorted with numpy's default kind, whose order of equal
+    remainders depends on the sort kernel (numpy 2.4 on x86-64 puts 0.5 at
+    entry 2 before 0.5 at entry 0); here that sort is stable, the order the
+    grouped rule keeps."""
+    targets = np.asarray(targets, dtype=float)
+    nearest = np.round(targets)
+    near = np.abs(targets - nearest) <= 1e-9 * np.maximum(1.0, nearest)
+    targets = np.where(near, nearest, targets)
+    floors = np.floor(targets).astype(np.int64)
+    leftover = total - int(floors.sum())
+    if leftover < 0:
+        order = np.argsort(targets - floors, kind="stable")
+        for idx in order:
+            if leftover == 0:
+                break
+            if floors[idx] > 0:
+                floors[idx] -= 1
+                leftover += 1
+    if leftover > 0:
+        remainders = targets - floors
+        jitter = rng.random(targets.size) * 1e-9
+        order = np.argsort(-(remainders + jitter), kind="stable")
+        for idx in order[:leftover]:
+            floors[idx] += 1
+    return floors
+
+
+def _rounding_case(rng):
+    """Targets of 1 to 5 groups of 1 to 8 entries each, in group order,
+    and each group's total; group codes may skip a value, whose total is
+    then 0.  Targets mix exact ties, integers off by +-1e-12, half-integers
+    and plain fractions; totals are the rounded sum, or one unit off it
+    either way, or an overshoot of up to three units below the floors."""
+    codes = np.flatnonzero(rng.random(7) < 0.6)[:5]
+    if not codes.size:
+        codes = np.array([0])
+    totals = np.zeros(codes[-1] + 1, dtype=np.int64)
+    targets, group = [], []
+    for code in codes.tolist():
+        size = int(rng.integers(1, 9))
+        kind = rng.integers(4, size=size)
+        base = rng.integers(0, 6, size=size).astype(float)
+        tie = rng.choice([0.25, 0.5, 0.75])
+        values = np.select([kind == 0, kind == 1, kind == 2],
+                           [base + tie, base + rng.choice([-1e-12, 1e-12], size=size),
+                            base + 0.5], base + rng.random(size))
+        values = np.maximum(values, 0.0)
+        total = int(round(values.sum())) + int(rng.integers(-1, 2))
+        if rng.random() < 0.25:
+            total = int(np.floor(values).sum()) - int(rng.integers(1, 4))
+        targets += values.tolist()
+        group += [code] * size
+        totals[code] = max(total, 0)
+    return np.array(targets), np.array(group), totals
+
+
+def test_largest_remainder_matches_one_group_at_a_time():
+    # on seeded random cases the grouped call gives the counts, and leaves
+    # the generator where, the reference rule called once per group in
+    # group order gives and leaves them
+    cases = np.random.default_rng(2024)
+    kinds = collections.Counter()
+    for seed in range(2000):
+        targets, group, totals = _rounding_case(cases)
+        grouped_rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+        counts = _largest_remainder(targets, group, totals, grouped_rng)
+        expected = np.concatenate([
+            _one_group_rounding(targets[group == code], totals[code], reference_rng)
+            for code in np.unique(group).tolist()])
+        assert counts.tolist() == expected.tolist(), seed
+        assert grouped_rng.random() == reference_rng.random(), seed
+        floors = np.bincount(group, np.floor(np.round(targets, 9)), totals.size)
+        kinds["short"] += bool(np.any(floors < totals))
+        kinds["over"] += bool(np.any(floors > totals))
+        remainders = np.round(targets, 9) % 1
+        kinds["tie"] += len(set(remainders.tolist())) < remainders.size
+    # short groups, overshooting groups and exact ties each occur often
+    assert kinds["short"] > 1000 and kinds["over"] > 500 and kinds["tie"] > 500, kinds
 
 
 def test_sample_matches_requested_statistics():
@@ -424,6 +507,18 @@ def test_realize_intervention_rejects_missing_nodes():
     type_of = np.zeros(10, dtype=np.int64)
     with pytest.raises(SamplerError, match=r"type \(d=3, k=3, r=1\), only 0 available"):
         realize_intervention(type_of, np.full(10, 2), xi, seed=14)
+
+
+@pytest.mark.parametrize("type_of", [[0, 0, 0, 1, 1, 1, 2, 2, 2, 5],
+                                     [0, 0, 0, 1, 1, 1, 2, 2, 2, -1]],
+                         ids=["code past the table", "negative code"])
+def test_realize_checks_type_codes(type_of):
+    # three types of mass 1/3: codes 0, 1 and 2 are the only ones
+    types = [AgentType(2, 2, 1, lin(1)), AgentType(2, 2, 2, lin(2)),
+             AgentType(3, 3, 1, lin(1))]
+    xi = null_intervention(Statistics({w: 1 / 3 for w in types}))
+    with pytest.raises(SamplerError, match=r"type codes must lie in 0\.\.2"):
+        realize_intervention(np.array(type_of), np.full(10, 2), xi, seed=3)
 
 
 def test_cascade_fractions(path3):
