@@ -8,9 +8,10 @@ HiGHS, driven directly through the solver object scipy ships
 row-wise sparse arrays.  HiGHS's model status maps to an outcome through one
 three-entry table: Optimal, Infeasible and Unbounded are themselves, and
 every other status is an error, as is a model HiGHS rejects at load.  No
-other module touches that private API.  Every reported optimum is
-re-certified here: primal residuals are recomputed from scratch, and the
-returned row duals, clipped to y <= 0, must give a safe dual bound that
+other module touches that private API.  One `LpSolution` records a solve:
+HiGHS's answer, then the certificate filled into it.  Every reported
+optimum is re-certified here: primal residuals are recomputed from scratch,
+and the row duals, clipped to y <= 0, must give a safe dual bound that
 meets the primal objective.  A solve that cannot be certified is reported
 as a failure, never as a silent wrong answer.
 
@@ -51,25 +52,32 @@ OUTCOMES = {highs.HighsModelStatus.kOptimal: "optimal",
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+def _own(a) -> np.ndarray:
+    """a itself when it is a read-only, C-contiguous float64 array, else a
+    copy of it that the model may freeze."""
+    shared = isinstance(a, np.ndarray) and not a.flags.writeable
+    return np.array(a, dtype=float, order="C", copy=None if shared else True)
+
+
+@dataclass(frozen=True, eq=False)
 class LpModel:
-    """min objective . x  s.t.  rows @ x <= rhs, x >= 0."""
+    """min objective . x  s.t.  rows @ x <= rhs, x >= 0.  A read-only,
+    C-contiguous float64 array is shared and any other copied, so the model
+    never freezes its caller's writeable arrays.  Equality is identity."""
 
     objective: np.ndarray
     rows: np.ndarray          # (m, n) coefficient matrix
     rhs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        a = np.asarray(self.rows, dtype=float)
-        b = np.atleast_1d(np.asarray(self.rhs, dtype=float))
+        c, a, b = (_own(v) for v in (self.objective, self.rows, self.rhs))
+        c, b = np.atleast_1d(c, b)
         if a.shape != (b.size, c.size):
             raise ValueError("rows of shape %s do not match %d rows of %d variables"
                              % (a.shape, b.size, c.size))
-        for arr in (c, a, b):
+        for name, arr in (("objective", c), ("rows", a), ("rhs", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite model coefficients")
-        for name, arr in (("objective", c), ("rows", a), ("rhs", b)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -82,23 +90,25 @@ class LpModel:
         return self.rhs.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
+    """One solve: HiGHS's answer (x and row duals only at an optimum) and,
+    once certified, its objective, violation and gap.  Equality is identity."""
+
     status: str               # optimal | infeasible | unbounded | error
-    x: np.ndarray | None
-    objective: float | None
-    max_violation: float | None
-    dual_gap: float | None
-    iterations: int           # over every HiGHS solve made
+    x: np.ndarray | None = None
+    objective: float | None = None
+    max_violation: float | None = None
+    dual_gap: float | None = None
+    iterations: int = 0       # over every HiGHS solve made
     message: str = ""
     configuration: str | None = None  # CONFIGURATIONS name that answered
+    row_dual: np.ndarray | None = None  # as HiGHS returned them, unclipped
 
 
 def check_solution(model: LpModel, x) -> tuple[float, float]:
-    """Independent residual check: (max constraint/bound violation, objective).
-
-    A feasible point has violation <= 0.
-    """
+    """Independent residual check: (max constraint/bound violation, objective);
+    a feasible point has violation <= 0."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.num_vars,):
         raise ValueError("point has %d entries, model has %d variables"
@@ -109,21 +119,14 @@ def check_solution(model: LpModel, x) -> tuple[float, float]:
 
 
 def solve(model: LpModel) -> LpSolution:
-    """Solve the model and certify the answer.
-
-    status 'optimal' guarantees: max violation <= FEAS_TOL and a safe dual
-    bound within GAP_TOL relative of the primal objective.  The bound takes
-    the row duals clipped to y <= 0; a negative reduced cost lowers it by
-    its column's upper bound from a row of non-negative coefficients, and
-    must lie within FEAS_TOL of 0 (relative to the cost) on a column no such
-    row bounds.
-    """
+    """Solve the model and certify the answer (`_certify`): status 'optimal'
+    guarantees max violation <= FEAS_TOL and a safe dual bound, from the
+    row duals clipped to y <= 0, within GAP_TOL relative of the objective."""
     if model.num_vars == 0:
         # vacuous model: feasible iff every row already holds at x = ()
         if check_solution(model, np.zeros(0))[0] <= FEAS_TOL:
             return LpSolution("optimal", np.zeros(0), 0.0, 0.0, 0.0, 0)
-        return LpSolution("infeasible", None, None, None, None, 0,
-                          "empty model with unsatisfiable row")
+        return LpSolution("infeasible", message="empty model with unsatisfiable row")
     start = time.perf_counter()
     iterations = 0
     for name, options in CONFIGURATIONS:
@@ -139,26 +142,15 @@ def solve(model: LpModel) -> LpSolution:
     return sol
 
 
-@dataclass(frozen=True)
-class HighsResult:
-    """One HiGHS solve: the outcome, x and the row duals (<= 0 at an optimum of
-    this form; None otherwise) and the simplex iterations it took."""
-
-    outcome: str              # optimal | infeasible | unbounded | error
-    message: str
-    x: np.ndarray | None
-    row_dual: np.ndarray | None
-    nit: int
-
-
-def _highs(model: LpModel, options: dict) -> HighsResult:
-    """HiGHS's result for the model under `options` (on top of TOLERANCES)."""
+def _highs(model: LpModel, options: dict) -> LpSolution:
+    """HiGHS's answer for the model under `options` (on top of TOLERANCES),
+    not yet certified."""
     h = highs._Highs()
     h.setOptionValue("output_flag", False)
     for name, value in {**TOLERANCES, **options}.items():
         if h.setOptionValue(name, value) != highs.HighsStatus.kOk:
-            return HighsResult("error", "HiGHS rejected option %s = %r" % (name, value),
-                               None, None, 0)
+            return LpSolution("error",
+                              message="HiGHS rejected option %s = %r" % (name, value))
     m, n = model.num_rows, model.num_vars
     # row-wise arrays from the flat positions of the non-zeros: row i starts
     # at the first position of at least i n, and the positions become the
@@ -174,26 +166,27 @@ def _highs(model: LpModel, options: dict) -> HighsResult:
                    np.full(n, highs.kHighsInf), np.full(m, -highs.kHighsInf), model.rhs,
                    starts, cols, values,
                    np.zeros(n, dtype=np.int32)) == highs.HighsStatus.kError:
-        return HighsResult("error", "HiGHS rejected the model", None, None, 0)
+        return LpSolution("error", message="HiGHS rejected the model")
     h.run()
     status, info = h.getModelStatus(), h.getInfo()
-    outcome, nit = OUTCOMES.get(status, "error"), info.simplex_iteration_count
-    message = "model_status is %s; primal_status is %s" % (
-        h.modelStatusToString(status),
-        h.solutionStatusToString(info.primal_solution_status))
-    if outcome != "optimal":
-        return HighsResult(outcome, message, None, None, nit)
-    sol = h.getSolution()
-    return HighsResult(outcome, message, np.array(sol.col_value), np.array(sol.row_dual),
-                       nit)
+    sol = LpSolution(OUTCOMES.get(status, "error"),
+                     iterations=info.simplex_iteration_count,
+                     message="model_status is %s; primal_status is %s" % (
+                         h.modelStatusToString(status),
+                         h.solutionStatusToString(info.primal_solution_status)))
+    if sol.status != "optimal":
+        return sol
+    res = h.getSolution()
+    return replace(sol, x=np.array(res.col_value), row_dual=np.array(res.row_dual))
 
 
-def _certify(model: LpModel, res: HighsResult) -> LpSolution:
-    """The solution HiGHS's result `res` reports, with an optimum kept only
-    when its residuals, dual feasibility and dual bound check out here."""
-    if res.outcome != "optimal":
-        return LpSolution(res.outcome, None, None, None, None, res.nit, res.message)
-    x, y = res.x, np.minimum(res.row_dual, 0.0)
+def _certify(model: LpModel, sol: LpSolution) -> LpSolution:
+    """HiGHS's answer `sol` with the objective, violation and gap of its
+    optimum, which stands only when its residuals, dual feasibility and
+    dual bound check out here; one that does not is an error."""
+    if sol.status != "optimal":
+        return sol
+    x, y = sol.x, np.minimum(sol.row_dual, 0.0)
     viol, obj = check_solution(model, x)
     # with y <= 0, c.x >= b.y + (c - A'y).x for every feasible x.  A column
     # that a row of non-negative coefficients bounds, x_j <= u_j, costs the
@@ -214,8 +207,9 @@ def _certify(model: LpModel, res: HighsResult) -> LpSolution:
                              initial=0.0))
     bound = float(y @ b) + float(rc[neg[~free]] @ u[~free])
     gap = abs(obj - bound) / max(1.0, abs(obj))
+    sol = replace(sol, objective=obj, max_violation=viol, dual_gap=gap)
     if viol > FEAS_TOL or dual_viol > FEAS_TOL or gap > GAP_TOL:
-        return LpSolution("error", x, obj, viol, gap, res.nit,
-                          "certification failed: violation=%g dual violation=%g gap=%g"
-                          % (viol, dual_viol, gap))
-    return LpSolution("optimal", x, obj, viol, gap, res.nit, res.message)
+        return replace(sol, status="error",
+                       message="certification failed: violation=%g dual violation=%g "
+                       "gap=%g" % (viol, dual_viol, gap))
+    return sol

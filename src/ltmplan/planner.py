@@ -139,6 +139,7 @@ def build_lp(p0: Statistics, cfg: PlannerConfig):
     np.negative(np.take(coeffs, np.flatnonzero(keep), axis=1, out=grid, mode="clip"),
                 out=grid)
     rows[zs.size + row_of, np.arange(nv)] = 1.0
+    rows.setflags(write=False)   # so the model shares it
     rhs = np.concatenate([phi0 - (zs + delta), p0.m[used]])
     return lp.LpModel(cost[keep], rows, rhs), columns, zs
 
@@ -207,10 +208,7 @@ class PlanResult:
     grid_margin: float           # min over grid rows of lift minus requirement
     relaxed_audit: AuditReport
     original_audit: AuditReport
-    lp_status: str
-    lp_iterations: int
-    lp_gap: float
-    lp_configuration: str | None
+    lp: lp.LpSolution            # the certified solve
     config: PlannerConfig
 
     def to_dict(self):
@@ -235,8 +233,8 @@ class PlanResult:
                 "original_margin": self.original_audit.margin,
                 "zmax": self.original_audit.zmax,
             },
-            "lp": {"status": self.lp_status, "iterations": self.lp_iterations,
-                   "gap": self.lp_gap, "configuration": self.lp_configuration},
+            "lp": {"status": self.lp.status, "iterations": self.lp.iterations,
+                   "gap": self.lp.dual_gap, "configuration": self.lp.configuration},
         }
 
 
@@ -262,18 +260,11 @@ def plan(p0: Statistics, cfg: PlannerConfig) -> PlanResult:
     if sol.status != "optimal":
         raise PlannerError("LP solve failed: %s (%s)" % (sol.status, sol.message))
     xi = solution_to_intervention(p0, columns, sol.x)
-    cost = intervention_cost(xi)
     # the grid rows' slack is the lift minus the requirement
     grid_margin = float(np.min(model.rhs[: zs.size] - model.rows[: zs.size] @ sol.x))
     m = cfg.audit_points
-    relaxed = audit_relaxed(xi, cfg.eps, m)
-    original = audit_original(xi, cfg.eps, m)
     return PlanResult(
-        xi=xi, cost=cost, alpha=alpha, delta_used=delta,
-        delta_guarantee=delta_guar,
-        guarantee_regime=delta >= delta_guar - 1e-15,
-        grid_margin=grid_margin, relaxed_audit=relaxed, original_audit=original,
-        lp_status=sol.status, lp_iterations=sol.iterations,
-        lp_gap=sol.dual_gap,
-        lp_configuration=sol.configuration, config=cfg,
-    )
+        xi=xi, cost=intervention_cost(xi), alpha=alpha, delta_used=delta,
+        delta_guarantee=delta_guar, guarantee_regime=delta >= delta_guar - 1e-15,
+        grid_margin=grid_margin, relaxed_audit=audit_relaxed(xi, cfg.eps, m),
+        original_audit=audit_original(xi, cfg.eps, m), lp=sol, config=cfg)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -431,7 +431,7 @@ def trajectory_table(ys, zs, rec) -> np.ndarray:
                             for c in columns])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McReport:
     replicates: int
     final_fractions: np.ndarray
@@ -446,18 +446,10 @@ class McReport:
     seed: object = None
 
     def to_dict(self):
-        return {
-            "replicates": self.replicates,
-            "final_fractions": [float(v) for v in self.final_fractions],
-            "success_rate": self.success_rate,
-            "sup_dev_y": self.sup_dev_y,
-            "sup_dev_z": self.sup_dev_z,
-            "nu": self.nu,
-            "mean_attempts": self.mean_attempts,
-            "attempts": list(self.attempts),
-            "predicted_acceptance": self.predicted_acceptance,
-            "seed": self.seed,
-        }
+        """Every field in order, the tables left out."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tables"}
+        doc["final_fractions"] = self.final_fractions.tolist()
+        return doc
 
 
 def monte_carlo_validate(xi: StatIntervention, n: int, replicates: int,
@@ -471,6 +463,8 @@ def monte_carlo_validate(xi: StatIntervention, n: int, replicates: int,
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1, got %d" % replicates)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1], got %r" % eps)
     post = xi.post
     rec, _ = recursion(post)
     attempts, tables, pairings = [], [], {}

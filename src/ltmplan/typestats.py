@@ -103,9 +103,14 @@ class Statistics:
         table["_offset"] = np.cumsum([0] + [len(w.cost) for w in types[:-1]])
         table["_costs"] = np.array([c for w in types for c in w.cost])
         if self.n is not None:
-            table["counts"] = np.rint(self.n * table["m"]).astype(np.int64)
+            nodes = self.n * table["m"]
+            table["counts"] = np.rint(nodes).astype(np.int64)
             if int(table["counts"].sum()) != self.n:
                 raise StatsError("type counts do not sum to n")
+            bad = np.flatnonzero(~_whole_counts(nodes))
+            if bad.size:
+                raise StatsError("type %s has n m = %.17g nodes, not a whole count"
+                                 % (types[bad[0]].label, nodes[bad[0]]))
         object.__setattr__(self, "counts", None)
         for name, array in table.items():
             array.setflags(write=False)
@@ -146,6 +151,12 @@ class Statistics:
         return int(self.k.max())
 
 
+def _whole_counts(nodes) -> np.ndarray:
+    """Whether each n m of `nodes` is a whole node count: within
+    1e-9 max(1, n m) of an integer, the round-off a count may carry."""
+    return np.abs(nodes - np.rint(nodes)) <= 1e-9 * np.maximum(1.0, nodes)
+
+
 class StatIntervention:
     """Mass moved from each type of `base` down by eta = 0..r_w threshold
     units: aligned read-only arrays `code` (into base.types()), `eta` and
@@ -155,19 +166,25 @@ class StatIntervention:
     post-intervention statistics off it: `base` and `post`."""
 
     def __init__(self, base: Statistics, code, eta, mass):
-        code, eta = (np.asarray(v, dtype=np.int64).reshape(-1) for v in (code, eta))
-        mass = np.asarray(mass, dtype=float).reshape(-1)
+        code, eta, mass = (np.asarray(v, dtype=float).reshape(-1) for v in (code, eta, mass))
+        bad = np.flatnonzero(~((code >= 0) & (code < base.m.size) & (code == np.rint(code))))
+        if bad.size:
+            raise StatsError("intervention type code %g outside the whole numbers 0..%d"
+                             % (code[bad[0]], base.m.size - 1))
+        code = code.astype(np.int64)
         order = np.lexsort((eta, code))
         code, eta, mass = code[order], eta[order], mass[order]
         repeated = np.append(False, (code[1:] == code[:-1]) & (eta[1:] == eta[:-1]))
-        for bad, what in (((eta < 0) | (eta > base.r[code]), "eta outside 0..r"),
+        for bad, what in (((eta < 0) | (eta > base.r[code]) | (eta != np.rint(eta)),
+                           "eta outside the whole numbers 0..r"),
                           (~np.isfinite(mass), "mass not finite"),
                           (mass < -MASS_TOL, "negative mass"),
                           (repeated, "duplicate entry")):
             if bad.any():
                 i = np.flatnonzero(bad)[0]
-                raise StatsError("intervention eta=%d, mass %g on type %s: %s" % (
+                raise StatsError("intervention eta=%g, mass %g on type %s: %s" % (
                     eta[i], mass[i], base.types()[code[i]].label, what))
+        eta = eta.astype(np.int64)
         totals = np.bincount(code, mass, minlength=base.m.size)
         bad = np.flatnonzero(np.abs(totals - base.m) > MASS_TOL)
         if bad.size:
@@ -365,7 +382,7 @@ def check_well_posed(n: int, p: Statistics) -> WellPosedReport:
     total out-degree, and no single node demanding more stubs than exist."""
     if n < 1:
         raise StatsError("n must be >= 1")
-    integer_ok = bool(np.all(np.abs(n * p.m - np.round(n * p.m)) <= 1e-9))
+    integer_ok = bool(np.all(_whole_counts(n * p.m)))
     mean_d = p.moment("d")
     mean_k = p.moment("k")
     balance_ok = abs(mean_d - mean_k) <= 1e-12 * max(1.0, mean_d)

@@ -455,6 +455,19 @@ def test_exit_code_plan_input_errors(tmp_path, capsys):
         assert path in assert_one_line(capsys, "input error:")
 
 
+def test_plan_rejects_counts_that_are_not_whole(tmp_path, capsys):
+    # masses 0.34 and 0.66 of n = 10 nodes are 3.4 and 6.6 nodes
+    stats = tmp_path / "statistics.json"
+    stats.write_text(json.dumps({"n": 10, "types": [
+        {"d": 1, "k": 1, "r": 1, "cost": [0.0, 1.0], "mass": 0.34},
+        {"d": 2, "k": 2, "r": 0, "cost": [0.0], "mass": 0.66}]}))
+    rc = main(["plan", "--statistics", str(stats), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_PLAN
+    err = assert_one_line(capsys, "statistics error:")
+    assert str(stats) in err and "not a whole count" in err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_plan_nan_delta_is_planner_error(tmp_path, capsys):
     # --delta nan parses as a float; it is rejected with the other
     # non-positive margins, before any LP is built or output written

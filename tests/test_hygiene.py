@@ -383,6 +383,44 @@ def test_one_type_record_reader():
                 "cost_rule", "statistics_from_records", "intervention_from_records"}
 
 
+def array_records_with_eq(source: str):
+    """Names of the dataclasses of `source` that annotate a field with
+    ndarray, alone or inside another type, and keep the generated __eq__."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        makers = [d for d in node.decorator_list if name(d) == "dataclass"]
+        eq_off = any(isinstance(d, ast.Call) and any(
+            k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in d.keywords) for d in makers)
+        arrays = any(isinstance(stmt, ast.AnnAssign)
+                     and any(name(n) == "ndarray" for n in ast.walk(stmt.annotation))
+                     for stmt in node.body)
+        if makers and arrays and not eq_off:
+            found.append(node.name)
+    return found
+
+
+def test_array_records_compare_by_identity():
+    """Every package dataclass with an ndarray field is declared eq=False:
+    the generated __eq__ compares the arrays and raises, and a frozen
+    record's generated __hash__ cannot hash them."""
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: np.ndarray | None\n"
+              "@dataclass(frozen=True, eq=False)\nclass B:\n    x: np.ndarray\n"
+              "@dataclasses.dataclass\nclass C:\n    xs: list[ndarray]\n"
+              "@dataclass(eq=True)\nclass D:\n    n: int\n"
+              "class E:\n    x: np.ndarray\n")
+    assert array_records_with_eq(source) == ["A", "C"]
+    for path in PACKAGE:
+        with open(path) as fh:
+            assert array_records_with_eq(fh.read()) == [], path
+
+
 def mass_comparisons(source: str):
     """Lines of `source` that compare an attribute named m or mass with a
     number literal, as `p.m > 0.0` or `-1e-12 <= xi.mass` do."""

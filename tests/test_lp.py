@@ -32,6 +32,27 @@ def test_model_validation():
         LpModel(np.array([1.0, 2.0]), np.array([[1.0], [1.0]]), np.array([1.0]))
 
 
+def test_model_leaves_caller_arrays_writeable():
+    # a writeable input is copied before the model freezes it; a read-only
+    # float64 matrix, as build_lp hands over, is shared
+    c, a, b = np.ones(2), np.eye(2), np.ones(2)
+    model = LpModel(c, a, b)
+    a[0, 0] = c[0] = 5.0
+    assert model.rows[0, 0] == 1.0 and model.objective[0] == 1.0
+    assert not any(v.flags.writeable for v in (model.objective, model.rows, model.rhs))
+    a.setflags(write=False)
+    assert LpModel(c, a, b).rows is a
+
+
+def test_records_with_arrays_compare_by_identity():
+    # the generated __eq__ would compare the arrays and raise: a model or
+    # solution is equal only to itself, and hashes
+    model = small_model()
+    for make in (small_model, lambda: solve(model)):
+        one, other = make(), make()
+        assert one == one and one != other and len({one, other}) == 2
+
+
 def test_check_solution():
     m = small_model()
     viol, obj = check_solution(m, [0.6, 0.4])
@@ -130,7 +151,7 @@ def test_solve_matches_highs_defaults(monkeypatch):
 
     def counted(*args):
         res = highs(*args)
-        nits.append(res.nit)
+        nits.append(res.iterations)
         return res
     monkeypatch.setattr(lp, "_highs", counted)
     seen = collections.Counter()
@@ -181,16 +202,16 @@ def linprog_reference(model, options):
 def assert_same_as_linprog(model, options):
     ref = linprog_reference(model, options)
     res = lp._highs(model, options)
-    assert res.outcome == {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
+    assert res.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
         ref.status, "error")
     assert names_same_model_status(res.message, ref.message)
-    assert res.nit == ref.nit
+    assert res.iterations == ref.nit
     if ref.status == 0:
         assert np.array_equal(res.x, ref.x)
         assert np.array_equal(res.row_dual, ref.ineqlin.marginals)
     else:
         assert res.x is None and res.row_dual is None
-    return res.outcome
+    return res.status
 
 
 def test_highs_matches_linprog():
@@ -216,13 +237,13 @@ def test_certify_rejects_infeasible_duals():
     dual feasible: y <= 0 and c - A'y >= 0."""
     model = small_model()
     x = np.array([0.6, 0.4])
-    good = lp.HighsResult("optimal", "", x, np.array([-1.0, 0.0]), 1)
+    good = lp.LpSolution("optimal", x, iterations=1, row_dual=np.array([-1.0, 0.0]))
     assert lp._certify(model, good).status == "optimal"
     for y in ([0.0, 1.0 / 0.6],       # a positive row dual
               [-2.0, -5.0 / 3.0]):    # y <= 0, but c - A'y < 0 for x1
         y = np.array(y)
         assert y @ model.rhs == pytest.approx(1.0)
-        sol = lp._certify(model, lp.HighsResult("optimal", "", x, y, 1))
+        sol = lp._certify(model, lp.LpSolution("optimal", x, iterations=1, row_dual=y))
         assert sol.status == "error" and "dual violation" in sol.message
 
 
@@ -239,11 +260,11 @@ def test_certify_bounds_round_off_on_bounded_columns():
     model = LpModel(np.array([1.0, 1.0]),
                     np.array([[-1.0, -1.0], [1.0, 0.0], [1.0, 1.0]]),
                     np.array([-1.0, 0.6, 2.0]))
-    sol = lp._certify(model, lp.HighsResult("optimal", "", x, y, 1))
+    sol = lp._certify(model, lp.LpSolution("optimal", x, iterations=1, row_dual=y))
     assert sol.status == "optimal"
     assert sol.dual_gap == pytest.approx(2e-9 * 1.6, rel=1e-6)
     # without that row nothing bounds x1, whose reduced cost must then be >= 0
-    sol = lp._certify(small_model(), lp.HighsResult("optimal", "", x, y[:2], 1))
+    sol = lp._certify(small_model(), lp.LpSolution("optimal", x, iterations=1, row_dual=y[:2]))
     assert sol.status == "error" and "dual violation=2e-09" in sol.message
 
 
@@ -274,7 +295,7 @@ def test_rejected_option_falls_back_to_defaults(monkeypatch, capfd):
                         (("unscaled, no presolve", {"no_such_option": 0}),
                          lp.CONFIGURATIONS[-1]))
     res = lp._highs(small_model(), lp.CONFIGURATIONS[0][1])
-    assert res.outcome == "error" and "no_such_option" in res.message
+    assert res.status == "error" and "no_such_option" in res.message
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve(small_model())

@@ -184,7 +184,7 @@ def test_plan_reference_instance():
     assert res.grid_margin >= -1e-9
     assert res.relaxed_audit.margin > 0.0
     assert res.original_audit.ok
-    assert res.lp_status == "optimal"
+    assert res.lp.status == "optimal"
 
 
 def test_plan_guarantee_regime_random():
@@ -313,7 +313,7 @@ def test_plan_feasible_iff_delta_within_alpha(monkeypatch):
                  else cfg.delta)
         infeasible.append(delta > alpha)
         if not infeasible[-1]:
-            assert plan(p0, cfg).lp_status == "optimal"
+            assert plan(p0, cfg).lp.status == "optimal"
             continue
         with pytest.raises(PlannerError, match="infeasible") as exc:
             plan(p0, cfg)

@@ -567,6 +567,24 @@ def test_monte_carlo_reads_its_tables():
         assert sup == max(np.abs(t[:, col] - t[:, col + 2]).max() for t in rep.tables)
 
 
+def test_monte_carlo_reports_compare_by_identity():
+    p0 = Statistics({AgentType(3, 3, 0, (0.0,)): 0.2,
+                     AgentType(3, 3, 1, lin(1)): 0.8})
+    one, other = (monte_carlo_validate(null_intervention(p0), n=200, replicates=1,
+                                       eps=0.1, seed=18) for _ in range(2))
+    assert one == one and one != other and len({one, other}) == 2
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.5, math.nan])
+def test_monte_carlo_rejects_eps_outside_unit_interval(monkeypatch, eps):
+    # checked before any network is sampled
+    monkeypatch.setattr(sampler, "sample_configuration_model",
+                        lambda *args, **kwargs: pytest.fail("sampled a network"))
+    p0 = Statistics({AgentType(3, 3, 1, lin(1)): 1.0})
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+        monte_carlo_validate(null_intervention(p0), n=200, replicates=1, eps=eps)
+
+
 def test_monte_carlo_shares_one_pairing(monkeypatch):
     # replicates that round to the same type counts (n * p_w are integers
     # here) set up one pairing, and each draws the network, thresholds and

@@ -366,6 +366,33 @@ def test_statistics_counts_by_code():
         statistics_from_records(records, n=5)
 
 
+def test_statistics_counts_are_whole():
+    # masses 0.34 and 0.66 round to 3 and 7 of n = 10 nodes, which sum to
+    # n, yet are 3.4 and 6.6 nodes; check_well_posed reads the same rule
+    w1, w2 = AgentType(1, 1, 1, lin(1)), AgentType(2, 2, 0, (0.0,))
+    with pytest.raises(StatsError, match=r"type \(d=1, k=1, r=1\) has n m = 3\.4"):
+        Statistics({w1: 0.34, w2: 0.66}, n=10)
+    assert not check_well_posed(10, Statistics({w1: 0.34, w2: 0.66})).integer_masses
+    # the round-off of a whole count is that count: 30 * 0.1 = 3.0000000000000004
+    p = Statistics({w1: 0.1, w2: 0.9}, n=30)
+    assert p.counts.tolist() == [3, 27] and check_well_posed(30, p).integer_masses
+
+
+@pytest.mark.parametrize("code, eta, message", [
+    (5, 0, "type code 5 outside the whole numbers 0..1"),
+    (-1, 0, "type code -1 outside the whole numbers 0..1"),
+    (1.7, 0, "type code 1.7 outside the whole numbers 0..1"),
+    (1, 0.6, r"eta=0\.6, .*: eta outside the whole numbers 0..r")])
+def test_intervention_checks_codes_and_depths(code, eta, message):
+    w1, w2 = AgentType(1, 1, 1, lin(1)), AgentType(2, 2, 2, lin(2))
+    p0 = Statistics({w1: 0.5, w2: 0.5})
+    with pytest.raises(StatsError, match=message):
+        StatIntervention(p0, [0, code], [0, eta], [0.5, 0.5])
+    # whole-valued floats, as a plan's restored eta = 0 entries, are whole
+    xi = StatIntervention(p0, np.array([0.0, 1.0]), np.array([1.0, 2.0]), [0.5, 0.5])
+    assert xi.code.tolist() == [0, 1] and xi.eta.tolist() == [1, 2]
+
+
 def test_cost_table_by_code():
     w1, w2 = AgentType(1, 1, 1, (0.0, 3.0)), AgentType(2, 2, 2, (0.0, 1.0, 4.0))
     p = Statistics({w1: 0.5, w2: 0.5})
