@@ -212,7 +212,7 @@ def _realize_and_compare(g, type_of, rho, xi, seed, csv_path):
     its trajectory beside the mean-field recursion of the post-intervention
     statistics xi.post.  Returns (per-node reductions h, Y(t))."""
     h = realize_intervention(type_of, rho, xi, seed=seed)
-    ys, zs, _ = cascade_fractions(g, apply_intervention(rho, h))
+    ys, zs = cascade_fractions(g, apply_intervention(rho, h))
     rec, _ = recursion(xi.post)
     _write_trajectory_csv(csv_path, trajectory_table(ys, zs, rec))
     return h, ys

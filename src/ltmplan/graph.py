@@ -38,14 +38,21 @@ def _index_dtype(size: int):
     return np.int32 if size < 2**31 else np.int64
 
 
-def _own(a) -> np.ndarray:
-    """a as a contiguous int64 array for the graph to freeze: a itself when
-    it is read-only already, else a copy, so the caller's writeable array
-    stays writeable."""
+def _whole(a, name) -> np.ndarray:
+    """a as an array of finite whole numbers; integer and bool arrays pass unchecked."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biu" and not np.all(np.isfinite(a) & (a == np.floor(a))):
+        raise GraphError("%s must be integers" % name)
+    return a
+
+
+def _own(a, name) -> np.ndarray:
+    """a, checked by `_whole`, as a contiguous int64 array for the graph to
+    freeze: a itself when read-only already, else a copy of it."""
     if (isinstance(a, np.ndarray) and a.dtype == np.int64
             and a.flags.c_contiguous and not a.flags.writeable):
         return a
-    return np.array(a, dtype=np.int64, ndmin=1)
+    return np.array(_whole(a, name), dtype=np.int64, ndmin=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +80,7 @@ class MultiGraph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("graph must have at least one node, got n=%d" % self.n)
-        tails, heads = _own(self.tails), _own(self.heads)
+        tails, heads = _own(self.tails, "tails"), _own(self.heads, "heads")
         if tails.shape != heads.shape or tails.ndim != 1:
             raise GraphError("tails and heads must be 1-D arrays of equal length")
         for name, ids in (("tail", tails), ("head", heads)):
@@ -137,10 +144,7 @@ def check_thresholds(g: MultiGraph, rho, clamp: bool = False) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape != (g.n,):
         raise GraphError("threshold vector has length %d, expected %d" % (rho.size, g.n))
-    if not np.issubdtype(rho.dtype, np.integer):
-        if not np.all(rho == np.floor(rho)):
-            raise GraphError("thresholds must be integers")
-    rho = rho.astype(np.int64)
+    rho = _whole(rho, "thresholds").astype(np.int64)
     if rho.min(initial=0) < 0:
         raise GraphError("thresholds must be non-negative")
     kappa = g.out_degrees
@@ -157,11 +161,8 @@ def check_thresholds(g: MultiGraph, rho, clamp: bool = False) -> np.ndarray:
 
 
 def ltm_step(g: MultiGraph, rho: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One synchronous update: node i is active iff its observed active count
-    meets its threshold.  The input state is not modified."""
-    x = _check_state(g, x)
-    rho = check_thresholds(g, rho)
-    return (g.neighbor_activity(x) >= rho).astype(np.int8)
+    """One synchronous update of x: the last state of a one-step trajectory."""
+    return ltm_trajectory(g, rho, x, 1)[0][-1]
 
 
 def ltm_trajectory(g: MultiGraph, rho, x0, t_max: int):
@@ -196,34 +197,32 @@ def ltm_trajectory(g: MultiGraph, rho, x0, t_max: int):
 
 
 def cascade_fractions(g: MultiGraph, rho):
-    """Run the cascade from all-zeros; return per-step (active fraction Y,
-    fraction of links pointing to active nodes Z) and the fixed-point flag.
+    """Run the cascade from all-zeros to its fixed point; return per-step
+    (active fraction Y, fraction of links pointing to active nodes Z).
 
     Z(t) is read off the product that stepped from x(t); Z(0) = 0."""
     rho = check_thresholds(g, rho)
-    zero = np.zeros(g.n, dtype=np.int8)
+    states, links = [np.zeros(g.n, dtype=np.int8)], []
     # the first step from all-zeros activates exactly the zero thresholds
     first = (rho == 0).view(np.int8)
     if first.any():
         # from all-zeros the dynamics are monotone: after x(1), at most n - 1
         # steps change the state and one more confirms the fixed point, so
         # every state is multiplied within n products
-        states, fixed, _, links = ltm_trajectory(g, rho, first, g.n)
-        assert fixed and len(links) == len(states)
-        states.insert(0, zero)
-    else:
-        states, fixed, links = [zero], True, []
+        later, fixed, _, links = ltm_trajectory(g, rho, first, g.n)
+        assert fixed and len(links) == len(later)
+        states += later
     # a link-free network has Z = 0 throughout
     total_links = float(g.edge_count) or 1.0
-    ys = np.array([np.count_nonzero(s) / g.n for s in states])
+    ys = np.array([active_fraction(s) for s in states])
     zs = np.array([0] + links) / total_links
-    return ys, zs, fixed
+    return ys, zs
 
 
 def apply_intervention(rho, h) -> np.ndarray:
     """Reduce thresholds entry-wise; h must not exceed rho anywhere."""
-    rho = np.asarray(rho, dtype=np.int64)
-    h = np.asarray(h, dtype=np.int64)
+    rho = np.asarray(_whole(rho, "thresholds"), dtype=np.int64)
+    h = np.asarray(_whole(h, "intervention entries"), dtype=np.int64)
     if rho.shape != h.shape:
         raise GraphError("intervention length %d does not match thresholds %d"
                          % (h.size, rho.size))
@@ -237,8 +236,7 @@ def apply_intervention(rho, h) -> np.ndarray:
 
 
 def active_fraction(x) -> float:
-    x = np.asarray(x)
-    return float(x.sum()) / x.size
+    return np.count_nonzero(x) / np.size(x)
 
 
 def check_target(g: MultiGraph, rho, h, eps: float):
@@ -249,7 +247,7 @@ def check_target(g: MultiGraph, rho, h, eps: float):
     """
     if not (0 < eps <= 1):
         raise GraphError("eps must lie in (0, 1]")
-    ys, _, _ = cascade_fractions(g, apply_intervention(check_thresholds(g, rho), h))
+    ys, _ = cascade_fractions(g, apply_intervention(check_thresholds(g, rho), h))
     frac = float(ys[-1])
     return frac >= 1.0 - eps, frac, ys.size - 1
 

@@ -46,13 +46,14 @@ def _scalar(values):
 
 
 def _tail_params(k, r):
-    """The checked parameters of P[Bin(k, z) >= r]: k and r broadcast
-    together, betainc's (r, k - r + 1) and the mask of the sure events r = 0."""
+    """The checked parameters of P[Bin(k, z) >= r]: whole k and r broadcast
+    together as int64, betainc's (r, k - r + 1) and the mask of the sure events r = 0."""
     k, r = np.broadcast_arrays(np.asarray(k), np.asarray(r))
-    bad = (r < 0) | (r > k)
+    bad = (r < 0) | (r > k) | (k != np.rint(k)) | (r != np.rint(r))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise ValueError("need 0 <= r <= k, got r=%d, k=%d" % (r.flat[i], k.flat[i]))
+        raise ValueError("need 0 <= r <= k, got r=%g, k=%g" % (r.flat[i], k.flat[i]))
+    k, r = k.astype(np.int64, copy=False), r.astype(np.int64, copy=False)
     return k, r, np.maximum(r, 1), k - r + 1, r == 0
 
 
@@ -196,11 +197,13 @@ def lift(p0, d, k, r, eta, z, post=None):
     d (P[Bin(k, z) >= r - eta] - P[Bin(k, z) >= r]) / <p0, d>, the rise of
     phi per unit mass of type (d, k, r) moved down by eta threshold units:
     non-negative, and moving masses x makes phi0 + a @ x of phi."""
-    d, k, r, eta = (np.atleast_1d(np.asarray(v, dtype=np.int64)) for v in (d, k, r, eta))
-    bad = (eta < 1) | (eta > r)
+    d, k, r, eta = (np.atleast_1d(np.asarray(v)) for v in (d, k, r, eta))
+    whole = np.all(np.rint([d, k, r, eta]) == [d, k, r, eta], axis=0)
+    bad = (eta < 1) | (eta > r) | ~whole
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise ValueError("eta=%d outside 1..r=%d" % (eta[i], r[i]))
+        raise ValueError("need whole d, k, r and 1 <= eta <= r, got d=%g, k=%g, r=%g, "
+                         "eta=%g" % (d[i], k[i], r[i], eta[i]))
     groups = [(k, r - eta), (k, r)] + ([] if post is None else [(post.k, post.r)])
     curves = _Curves(p0, *groups)
     table = curves.tails(z)

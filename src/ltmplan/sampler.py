@@ -31,7 +31,7 @@ import numpy as np
 
 from .graph import MultiGraph, cascade_fractions
 from .meanfield import recursion
-from .typestats import Statistics, StatIntervention, check_well_posed
+from .typestats import Statistics, StatIntervention, check_well_posed, whole_counts
 
 log = logging.getLogger(__name__)
 
@@ -50,9 +50,7 @@ def _largest_remainder(targets, group, totals, rng) -> np.ndarray:
     group = np.asarray(group)
     # a target within round-off of an integer is that integer: LP round-off
     # such as 16.999999999996742 for 17 nodes must not draw a leftover unit
-    nearest = np.round(targets)
-    near = np.abs(targets - nearest) <= 1e-9 * np.maximum(1.0, nearest)
-    targets = np.where(near, nearest, targets)
+    targets = np.where(whole_counts(targets), np.rint(targets), targets)
     counts = np.floor(targets).astype(np.int64)
     leftover = (np.asarray(totals) - np.bincount(group, counts, len(totals)))[group]
     leftover = leftover.astype(np.int64)
@@ -399,10 +397,10 @@ def realize_intervention(type_of, rho, xi: StatIntervention,
     rng = np.random.default_rng(seed)
     type_of = np.asarray(type_of)
     types, m = xi.base.types(), xi.base.m
-    if type_of.min(initial=0) < 0 or type_of.max(initial=0) >= m.size:
-        raise SamplerError("type codes must lie in 0..%d, got %d..%d"
+    if np.any((type_of < 0) | (type_of >= m.size) | (type_of != np.rint(type_of))):
+        raise SamplerError("type codes must lie in 0..%d as whole numbers, got %g..%g"
                            % (m.size - 1, type_of.min(), type_of.max()))
-    have = np.bincount(type_of, minlength=m.size)
+    have = np.bincount(type_of.astype(np.int64, copy=False), minlength=m.size)
     want = np.rint(type_of.size * m).astype(np.int64)
     for bad, text in ((want > have, "asks for %d nodes of type %s, only %d available"),
                       (want < have, "places %d nodes of type %s, the network has %d")):
@@ -472,7 +470,8 @@ def monte_carlo_validate(xi: StatIntervention, n: int, replicates: int,
         g, rho, _, info = sample_configuration_model(post, n, seed=rng_seed,
                                                      _pairings=pairings)
         attempts.append(info.attempts)
-        ys, zs, _ = cascade_fractions(g, rho)
+        ys, zs = cascade_fractions(g, rho)
+        del _  # unread type codes: alive through the next draw, they raise its peak RSS
         tables.append(trajectory_table(ys, zs, rec))
     finals = np.array([table[-1, 0] for table in tables])
     sup = np.max([np.abs(table[:, :2] - table[:, 2:]).max(axis=0)

@@ -107,7 +107,7 @@ class Statistics:
             table["counts"] = np.rint(nodes).astype(np.int64)
             if int(table["counts"].sum()) != self.n:
                 raise StatsError("type counts do not sum to n")
-            bad = np.flatnonzero(~_whole_counts(nodes))
+            bad = np.flatnonzero(~whole_counts(nodes))
             if bad.size:
                 raise StatsError("type %s has n m = %.17g nodes, not a whole count"
                                  % (types[bad[0]].label, nodes[bad[0]]))
@@ -151,9 +151,9 @@ class Statistics:
         return int(self.k.max())
 
 
-def _whole_counts(nodes) -> np.ndarray:
-    """Whether each n m of `nodes` is a whole node count: within
-    1e-9 max(1, n m) of an integer, the round-off a count may carry."""
+def whole_counts(nodes) -> np.ndarray:
+    """Whether each node count of `nodes`, such as n m, is whole: within
+    1e-9 max(1, count) of an integer, the round-off a count may carry."""
     return np.abs(nodes - np.rint(nodes)) <= 1e-9 * np.maximum(1.0, nodes)
 
 
@@ -382,7 +382,7 @@ def check_well_posed(n: int, p: Statistics) -> WellPosedReport:
     total out-degree, and no single node demanding more stubs than exist."""
     if n < 1:
         raise StatsError("n must be >= 1")
-    integer_ok = bool(np.all(_whole_counts(n * p.m)))
+    integer_ok = bool(np.all(whole_counts(n * p.m)))
     mean_d = p.moment("d")
     mean_k = p.moment("k")
     balance_ok = abs(mean_d - mean_k) <= 1e-12 * max(1.0, mean_d)

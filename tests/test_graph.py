@@ -207,8 +207,8 @@ def test_check_target_without_links():
         warnings.simplefilter("error")
         assert check_target(g, np.zeros(2, dtype=int), np.zeros(2, dtype=int), 0.1) \
             == (True, 1.0, 1)
-        ys, zs, fixed = cascade_fractions(g, np.zeros(2, dtype=int))
-    assert ys.tolist() == [0.0, 1.0] and zs.tolist() == [0.0, 0.0] and fixed
+        ys, zs = cascade_fractions(g, np.zeros(2, dtype=int))
+    assert ys.tolist() == [0.0, 1.0] and zs.tolist() == [0.0, 0.0]
 
 
 def _dense_cascade(n, tails, heads, rho):
@@ -251,9 +251,8 @@ def test_cascade_matches_dense_reference(order):
         if order == "sorted":
             keep = np.argsort(tails, kind="stable")
             tails, heads = tails[keep], heads[keep]
-        ys, zs, fixed = cascade_fractions(MultiGraph(n, tails, heads), rho)
+        ys, zs = cascade_fractions(MultiGraph(n, tails, heads), rho)
         ref_ys, ref_zs = _dense_cascade(n, tails, heads, rho)
-        assert fixed
         assert np.array_equal(ys, ref_ys) and np.array_equal(zs, ref_zs)
     assert ys.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
 
@@ -261,11 +260,11 @@ def test_cascade_matches_dense_reference(order):
 def test_cascade_multiplies_once_per_step(path3, matvec_calls):
     # each product is a step: the first is read off the zero thresholds, and
     # the last confirms the fixed point
-    ys, _, fixed = cascade_fractions(path3, np.array([0, 1, 1]))
-    assert fixed and ys.size - 1 == 3 and len(matvec_calls) == 3
+    ys, _ = cascade_fractions(path3, np.array([0, 1, 1]))
+    assert ys.size - 1 == 3 and len(matvec_calls) == 3
     del matvec_calls[:]
-    ys, _, fixed = cascade_fractions(path3, path3.out_degrees)
-    assert fixed and ys.tolist() == [0.0] and matvec_calls == []
+    ys, _ = cascade_fractions(path3, path3.out_degrees)
+    assert ys.tolist() == [0.0] and matvec_calls == []
 
 
 @pytest.mark.parametrize("order", ["unsorted", "sorted"])
@@ -310,7 +309,7 @@ def test_sampled_cascade_leaves_in_degrees_uncounted():
     p = Statistics({AgentType(2, 2, 1, lin(1)): 0.5,
                     AgentType(3, 3, 0, lin(0)): 0.5})
     g, rho, _, _ = sample_configuration_model(p, 200, seed=3)
-    ys, _, _ = cascade_fractions(g, rho)
+    ys, _ = cascade_fractions(g, rho)
     assert ys[-1] > 0.5
     assert "in_degrees" not in vars(g)
     assert np.array_equal(g.in_degrees, np.bincount(g.heads, minlength=g.n))
@@ -340,6 +339,30 @@ def test_threshold_validation(path3):
         check_thresholds(path3, np.array([0, 0]))
     with pytest.raises(GraphError, match="must be integers"):
         check_thresholds(path3, np.array([0.5, 0.0, 0.0]))
+
+
+def test_non_integer_inputs_are_rejected(path3):
+    # entries that are not finite whole numbers are named, not truncated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, message in (
+                (lambda: MultiGraph(3, [0.5, 1.7], [1, 2]), "tails must be integers"),
+                (lambda: MultiGraph(2, [np.nan, 1], [1, 0]), "tails must be integers"),
+                (lambda: MultiGraph(2, [0, 1], [1, np.inf]), "heads must be integers"),
+                (lambda: apply_intervention([1, 1, 1], [0.6, 0, 0]),
+                 "intervention entries must be integers"),
+                (lambda: apply_intervention([1, 1], [np.nan, 0]),
+                 "intervention entries must be integers"),
+                (lambda: apply_intervention([1.5, 1], [0, 0]), "thresholds must be integers"),
+                (lambda: check_thresholds(path3, [np.inf, 0, 0]),
+                 "thresholds must be integers")):
+            with pytest.raises(GraphError, match=message):
+                call()
+        # whole-valued floats are the integers they hold
+        g = MultiGraph(3, np.array([0.0, 1.0]), [1.0, 2.0])
+        assert g.tails.tolist() == [0, 1] and g.heads.tolist() == [1, 2]
+        assert apply_intervention([1.0, 1], [1.0, 0]).tolist() == [0, 1]
+        assert check_thresholds(path3, [1.0, 0.0, 1.0]).tolist() == [1, 0, 1]
 
 
 def test_parse_edge_list(tmp_path):

@@ -276,6 +276,33 @@ def test_scan_finds_name_users():
     assert name_users(source, "g") == {"f", "C.m", ""}
 
 
+def attribute_callers(source: str, name: str):
+    """The scopes in which `source` calls `name` as an attribute, as in
+    `g.name(...)`; `name_users` sees plain names only."""
+    return scopes_where(source, lambda node: isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute) and node.func.attr == name)
+
+
+def test_one_threshold_map():
+    """`graph.ltm_trajectory` is the only scope of the package that
+    multiplies a state by the adjacency, so the threshold map is applied in
+    one place: `ltm_step` is a one-step trajectory and the cascade from
+    all-zeros reads its trajectory."""
+    source = ("def f(g, x):\n    return g.neighbor_activity(x) >= 1\nclass C:\n"
+              "    def m(self, xs):\n        return [self.g.neighbor_activity(x) for x in xs]\n"
+              "    def n(self, x):\n        step = self.g.neighbor_activity\n"
+              "        return neighbor_activity(x), step(x)\n"
+              "k = a.b.neighbor_activity(y)\n")
+    assert attribute_callers(source, "neighbor_activity") == {"f", "C.m", ""}
+    found = set()
+    for path in PACKAGE:
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path) as fh:
+            found |= {module + "." + scope
+                      for scope in attribute_callers(fh.read(), "neighbor_activity")}
+    assert found == {"graph.ltm_trajectory"}
+
+
 def test_one_tail_table_builder():
     """`meanfield._Curves` is the only builder of a tail table: the one
     caller of `_distinct_pairs`, and with `binom_tail` the only caller of

@@ -23,6 +23,24 @@ def test_binom_tail_edges():
         binom_tail(3, 4, 0.5)
 
 
+def test_binomial_parameters_must_be_whole():
+    # a fractional k, r or eta is no binomial tail: it is named, not truncated
+    for k, r in ((3.5, 1), (3, 0.5), (np.nan, 1)):
+        with pytest.raises(ValueError, match="need 0 <= r <= k, got r=%g, k=%g" % (r, k)):
+            binom_tail(k, r, 0.5)
+    w = AgentType(2, 2, 2, lin(2))
+    p0 = Statistics({AgentType(1, 1, 1, lin(1)): 2 / 3, w: 1 / 3})
+    with pytest.raises(ValueError, match="got d=2, k=2, r=2, eta=1.5"):
+        coeff_a(w, 1.5, 0.5, p0)
+    with pytest.raises(ValueError, match="got d=1.5, k=2, r=2, eta=1"):
+        meanfield.lift(p0, 1.5, 2, 2, 1, 0.5)
+    # whole-valued floats are the integers they hold, on either tail kernel
+    z = np.array([0.25, 0.5])
+    assert binom_tail(3.0, 1.0, 0.5) == binom_tail(3, 1, 0.5)
+    assert np.array_equal(binom_tail(2.0, 1.0, z), binom_tail(2, 1, z))
+    assert np.array_equal(coeff_a(w, 1.0, z, p0), coeff_a(w, 1, z, p0))
+
+
 def test_binom_tail_against_scipy_sf():
     rng = np.random.default_rng(21)
     worst = 0.0

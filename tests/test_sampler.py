@@ -521,9 +521,20 @@ def test_realize_checks_type_codes(type_of):
         realize_intervention(np.array(type_of), np.full(10, 2), xi, seed=3)
 
 
+def test_realize_takes_whole_float_codes():
+    # codes held as floats: whole ones are the type they name, others fail
+    p = Statistics({AgentType(2, 2, 1, lin(1)): 1.0})
+    h = realize_intervention(np.array([0.0, 0.0]), np.ones(2, dtype=int),
+                             null_intervention(p), seed=1)
+    assert h.tolist() == [0, 0]
+    for codes in ([0.5, 0.0], [np.nan, 0.0]):
+        with pytest.raises(SamplerError, match=r"type codes must lie in 0\.\.0"):
+            realize_intervention(np.array(codes), np.ones(2, dtype=int),
+                                 null_intervention(p), seed=1)
+
+
 def test_cascade_fractions(path3):
-    ys, zs, fixed = cascade_fractions(path3, np.array([0, 1, 1]))
-    assert fixed
+    ys, zs = cascade_fractions(path3, np.array([0, 1, 1]))
     assert ys == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
     # links weighted by in-degree: middle node holds half of them
     assert zs == pytest.approx([0.0, 0.25, 0.75, 1.0])
